@@ -8,6 +8,10 @@
 #                     buffers, the concurrent SED/OCR perception stages and
 #                     the shared serving pipeline are only trustworthy
 #                     race-clean
+#   4b. benchmark module: tdbench/ is its own Go module, so the root
+#                     go vet/test never compile it; vet and test it
+#                     explicitly, so an internal API change that breaks
+#                     the benchmark fails here
 #   5. eval scoring invariance: the Table II matchers must produce
 #                     identical tp/fp/fn under any permutation of the
 #                     detection/ground-truth lists (run again explicitly so
@@ -84,6 +88,8 @@ test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test -race ./...
+go -C tdbench vet .
+go -C tdbench test .
 go test -run 'TestMatchPermutationInvariance|TestMatchNearestWins|TestMatchShortSegmentThreshold' -count 1 ./internal/eval
 go test -run 'TestNilTraceZeroAlloc|TestNilRecorderZeroAlloc' -count 1 ./internal/obs
 go test -run 'TestDisabledTracingZeroAllocOnHotPath' -count 1 ./internal/core

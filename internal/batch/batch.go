@@ -12,21 +12,21 @@
 // of unknown length. Resident memory is therefore bounded by the worker
 // count, not the corpus size.
 //
-// With a store attached, each item is resolved content-addressed before
-// any work happens: file-backed items first try the store's alias index
-// (hash of the encoded bytes → input hash), skipping even the PNG decode
-// on warm re-runs; otherwise the decoded pixels are hashed
-// (store.HashImage, the tdserve LRU scheme) and the artifact looked up
-// under (config hash × input hash). A hit skips translation entirely and
-// replays the stored SPO, SpecText and diagnostics byte-identically; a
-// miss translates and persists the artifact atomically, so an interrupted
-// run resumes with only the missing items.
+// With a store attached, each item is resolved content-addressed through
+// a Resolver, the artifact path tdserve and the job service share:
+// file-backed items first try the store's alias index (hash of the
+// encoded bytes → input hash), skipping even the PNG decode on warm
+// re-runs; otherwise the decoded pixels are hashed (store.HashImage) and
+// the artifact looked up under (config hash × input hash). A hit skips
+// translation entirely and replays the stored SPO, SpecText and
+// diagnostics byte-identically; a miss translates and persists the
+// artifact atomically, so an interrupted run resumes with only the
+// missing items.
 package batch
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -41,7 +41,6 @@ import (
 	"tdmagic/internal/ocr"
 	"tdmagic/internal/parallel"
 	"tdmagic/internal/sed"
-	"tdmagic/internal/sei"
 	"tdmagic/internal/spo"
 	"tdmagic/internal/store"
 )
@@ -94,6 +93,9 @@ type Result struct {
 	Err error
 	// Cached reports that translation was skipped entirely.
 	Cached bool
+	// Stored reports that the item's artifact is known to be in the
+	// store: a store hit, or a translation whose Put succeeded.
+	Stored bool
 	// Input is the canonical content hash of the picture (zero when the
 	// item failed before hashing or a custom Do handled it).
 	Input store.Hash
@@ -256,9 +258,9 @@ func Run(ctx context.Context, pipe *core.Pipeline, src Source, opts Options, emi
 }
 
 // Process runs one item through the full per-item path — resolve the
-// picture, consult the store, translate on a miss, persist the artifact —
-// and returns its Result. Run calls it from the worker pool; the jobs
-// service calls it directly for each lease-held attempt, so both
+// picture, then hand it to a Resolver (store, translate on a miss,
+// persist) — and returns its Result. Run calls it from the worker pool;
+// the jobs service calls it directly for each lease-held attempt, so both
 // execution surfaces share one store discipline (alias index, hit
 // validation, atomic persist, errors never stored).
 func Process(ctx context.Context, pipe *core.Pipeline, it Item, opts Options) Result {
@@ -272,138 +274,81 @@ func Process(ctx context.Context, pipe *core.Pipeline, it Item, opts Options) Re
 		r.Err = it.Err
 		return r
 	}
+	fail := func(err error) Result {
+		r.Err = fmt.Errorf("batch: %s: %w", it.Name, err)
+		return r
+	}
 	if FaultHook != nil {
 		if err := FaultHook(it); err != nil {
-			r.Err = fmt.Errorf("batch: %s: %w", it.Name, err)
-			return r
+			return fail(err)
 		}
 	}
 
+	rs := NewResolver(pipe, opts, 0)
 	img := it.Image
-	var raw []byte
+	var rawKey store.Hash
 	if img == nil && it.Load != nil {
 		loaded, err := it.Load()
 		if err != nil {
-			r.Err = fmt.Errorf("batch: %s: %w", it.Name, err)
-			return r
+			return fail(err)
 		}
 		img = loaded
 	}
 	if img == nil && it.Open != nil {
 		rc, err := it.Open()
 		if err != nil {
-			r.Err = fmt.Errorf("batch: %s: %w", it.Name, err)
-			return r
+			return fail(err)
 		}
-		raw, err = io.ReadAll(rc)
+		raw, err := io.ReadAll(rc)
 		rc.Close()
 		if err != nil {
-			r.Err = fmt.Errorf("batch: %s: %w", it.Name, err)
-			return r
+			return fail(err)
 		}
 		// Warm fast path: the alias index maps the encoded bytes straight
 		// to the input hash, so an unchanged file resolves to its
 		// artifact without being decoded at all.
 		if opts.Store != nil {
-			rawKey := store.HashBytes(raw)
+			rawKey = store.HashBytes(raw)
 			if input, ok := opts.Store.GetAlias(rawKey); ok {
-				if res, ok := hitResult(r, input, opts); ok {
-					return res
+				if res, err := rs.Lookup(input); err == nil {
+					return r.resolved(res, nil)
 				}
 			}
-			defer func() {
-				// Record the alias only once the artifact exists, so the
-				// index never points at a missing object.
-				if r.Err == nil && !r.Input.IsZero() {
-					_ = opts.Store.PutAlias(rawKey, r.Input)
-				}
-			}()
 		}
-		img, err = imgproc.DecodePNG(bytes.NewReader(raw))
-		raw = nil
-		if err != nil {
-			r.Err = fmt.Errorf("batch: %s: %w", it.Name, err)
-			return r
+		if img, err = imgproc.DecodePNG(bytes.NewReader(raw)); err != nil {
+			return fail(err)
 		}
 	}
 	if img == nil {
-		r.Err = fmt.Errorf("batch: %s: item carries no picture", it.Name)
-		return r
+		return fail(errors.New("item carries no picture"))
 	}
 
-	r.Input = store.HashImage(img)
-	if opts.Store != nil {
-		if res, ok := hitResult(r, r.Input, opts); ok {
-			return res
-		}
+	input := store.HashImage(img)
+	res, err := rs.Lookup(input)
+	if err != nil {
+		res, err = rs.Translate(ctx, input, img)
 	}
-
-	// A one-item core batch call buys the per-item deadline, cooperative
-	// cancellation and panic isolation the batch contract promises.
-	out := pipe.TranslateAllCtx(ctx, []*imgproc.Gray{img}, core.BatchOptions{
-		Workers: 1,
-		Timeout: opts.Timeout,
-	})[0]
-	r.SPO, r.Rep, r.Err = out.SPO, out.Rep, out.Err
-	if r.Err != nil {
-		return r
-	}
-	r.Spec = r.SPO.SpecText()
-	if opts.Store != nil {
-		a := Artifact{SPO: r.SPO, Spec: r.Spec}
-		if r.Rep != nil {
-			a.Diags = r.Rep.Diags
-			if opts.PersistReport {
-				a.Report = &ReportArtifact{
-					Edges: r.Rep.Edges,
-					Texts: r.Rep.Texts,
-				}
-				if r.Rep.SEI != nil {
-					a.Report.VLines = r.Rep.SEI.VLines
-					a.Report.HLines = r.Rep.SEI.HLines
-					a.Report.Arrows = r.Rep.SEI.Arrows
-				}
-			}
-		}
-		if data, err := json.Marshal(a); err == nil {
-			// Best-effort: a full disk must degrade to cold re-runs, not
-			// fail the translation that just succeeded.
-			_ = opts.Store.Put(opts.Config, r.Input, data)
-		}
+	r = r.resolved(res, err)
+	if r.Stored && !rawKey.IsZero() {
+		// Record the alias only once its artifact is in the store, so the
+		// index never points at a missing object.
+		_ = opts.Store.PutAlias(rawKey, r.Input)
 	}
 	return r
 }
 
-// hitResult tries to resolve r from the store; ok reports success. A
-// corrupt or schema-short artifact (no SPO, or a missing report when the
-// consumer needs one) is treated as a miss and overwritten by the re-run.
-func hitResult(r Result, input store.Hash, opts Options) (Result, bool) {
-	data, ok := opts.Store.Get(opts.Config, input)
-	if !ok {
-		return r, false
+// resolved fills r from a resolution: the artifact's SPO and spec text,
+// and the report — the translation's own on a miss, the one the artifact
+// stands for on a hit.
+func (r Result) resolved(res Resolved, err error) Result {
+	r.Input, r.Rep, r.Stored, r.Err = res.Input, res.Rep, res.Stored, err
+	if err != nil {
+		return r
 	}
-	var a Artifact
-	if err := json.Unmarshal(data, &a); err != nil || a.SPO == nil {
-		opts.Store.NoteCorrupt()
-		return r, false
+	r.SPO, r.Spec = res.Artifact.SPO, res.Artifact.Spec
+	if res.Tier != TierMiss {
+		r.Cached = true
+		r.Rep = res.Artifact.report()
 	}
-	if opts.PersistReport && a.Report == nil {
-		return r, false
-	}
-	r.Input = input
-	r.Cached = true
-	r.SPO = a.SPO
-	r.Spec = a.Spec
-	r.Rep = &core.Report{Diags: a.Diags}
-	if a.Report != nil {
-		r.Rep.Edges = a.Report.Edges
-		r.Rep.Texts = a.Report.Texts
-		r.Rep.SEI = &sei.Output{
-			SPO:    a.SPO,
-			VLines: a.Report.VLines,
-			HLines: a.Report.HLines,
-			Arrows: a.Report.Arrows,
-		}
-	}
-	return r, true
+	return r
 }

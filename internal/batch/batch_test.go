@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -16,6 +17,7 @@ import (
 	"tdmagic/internal/core"
 	"tdmagic/internal/eval"
 	"tdmagic/internal/imgproc"
+	"tdmagic/internal/metrics"
 	"tdmagic/internal/store"
 	"tdmagic/internal/tdgen"
 )
@@ -235,6 +237,84 @@ func TestDirWarmRunSkipsDecode(t *testing.T) {
 		if !r.Cached || r.Input.IsZero() {
 			t.Errorf("item %s: cached=%v input=%s", r.Name, r.Cached, r.Input.Hex())
 		}
+	}
+}
+
+// TestAliasOnlyAfterStoredArtifact pins the alias invariant: when the
+// artifact's Put fails the translation still succeeds, but no alias is
+// recorded, so the index never resolves to a missing artifact; once a Put
+// succeeds, the alias follows it.
+func TestAliasOnlyAfterStoredArtifact(t *testing.T) {
+	pipe := setup(t)
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(writeCorpus(t, 1), "img-000.png")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawKey := store.HashBytes(raw)
+	it := batch.Item{Name: "img-000.png", Open: func() (io.ReadCloser, error) { return os.Open(path) }}
+	opts := batch.Options{Store: st, Config: pipe.ConfigHash()}
+
+	store.FaultHook = func(op, _ string) error {
+		if op == "put" {
+			return errors.New("disk full")
+		}
+		return nil
+	}
+	defer func() { store.FaultHook = nil }()
+	r := batch.Process(context.Background(), pipe, it, opts)
+	if r.Err != nil || r.Stored {
+		t.Fatalf("failed put: err=%v stored=%v, want an unstored translation", r.Err, r.Stored)
+	}
+	if input, ok := st.GetAlias(rawKey); ok {
+		t.Fatalf("alias recorded for the unstored artifact %s", input.Hex())
+	}
+
+	store.FaultHook = nil
+	r = batch.Process(context.Background(), pipe, it, opts)
+	if r.Err != nil || !r.Stored || r.Cached {
+		t.Fatalf("healthy put: err=%v stored=%v cached=%v", r.Err, r.Stored, r.Cached)
+	}
+	if input, ok := st.GetAlias(rawKey); !ok || input != r.Input {
+		t.Fatalf("alias = %s %v, want %s", input.Hex(), ok, r.Input.Hex())
+	}
+}
+
+// TestCorruptArtifactHeals pins the resolver's hit validation: a stored
+// artifact that does not decode is counted corrupt, answered as a miss,
+// and overwritten by the re-translation, which the next run hits.
+func TestCorruptArtifactHeals(t *testing.T) {
+	pipe := setup(t)
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := store.NewMetrics(metrics.NewRegistry())
+	st.SetMetrics(m)
+	s, err := tdgen.NewSeeded(tdgen.DefaultConfig(tdgen.G1), 41).GenerateAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := batch.Item{Name: "x", Image: s.Image}
+	opts := batch.Options{Store: st, Config: pipe.ConfigHash()}
+	if err := st.Put(opts.Config, store.HashImage(s.Image), []byte(`{"spec":`)); err != nil {
+		t.Fatal(err)
+	}
+
+	r := batch.Process(context.Background(), pipe, it, opts)
+	if r.Err != nil || r.Cached || !r.Stored {
+		t.Fatalf("over a corrupt artifact: err=%v cached=%v stored=%v, want a stored re-translation", r.Err, r.Cached, r.Stored)
+	}
+	if got := m.Corrupt.Value(); got != 1 {
+		t.Errorf("corrupt count = %d, want 1", got)
+	}
+	healed := batch.Process(context.Background(), pipe, it, opts)
+	if !healed.Cached || healed.Spec != r.Spec {
+		t.Errorf("healed artifact: cached=%v spec equal=%v", healed.Cached, healed.Spec == r.Spec)
 	}
 }
 

@@ -3,12 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"tdmagic/internal/imgproc"
+	"tdmagic/internal/parallel"
 	"tdmagic/internal/spo"
 )
 
@@ -49,32 +48,12 @@ func (p *Pipeline) TranslateAll(imgs []*imgproc.Gray, workers int) []BatchResult
 // picture's wall-clock via cooperative cancellation in the perception
 // stages — one pathological picture can neither hang nor kill the batch.
 // Cancelling ctx stops the whole batch; unstarted items report ctx's
-// error.
+// error. A one-worker call runs inline on the caller's goroutine.
 func (p *Pipeline) TranslateAllCtx(ctx context.Context, imgs []*imgproc.Gray, opts BatchOptions) []BatchResult {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(imgs) {
-		workers = len(imgs)
-	}
 	results := make([]BatchResult, len(imgs))
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i] = p.translateItem(ctx, i, imgs[i], opts.Timeout)
-			}
-		}()
-	}
-	for i := range imgs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	parallel.For(opts.Workers, len(imgs), func(i int) {
+		results[i] = p.translateItem(ctx, i, imgs[i], opts.Timeout)
+	})
 	return results
 }
 

@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -523,6 +522,7 @@ func (s *Service) Results(id string, fn func(ItemResult) error) error {
 	items := append([]ItemRecord(nil), j.rec.Items...)
 	j.mu.Unlock()
 
+	rs := batch.NewResolver(s.pipe, batch.Options{Store: s.st, Config: s.cfgHash}, 0)
 	for i := range items {
 		it := &items[i]
 		r := ItemResult{Index: i, Name: it.Name}
@@ -533,18 +533,15 @@ func (s *Service) Results(id string, fn func(ItemResult) error) error {
 				r.Error = "artifact reference corrupt"
 				break
 			}
-			data, ok := s.st.Get(s.cfgHash, input)
-			if !ok {
-				r.Error = "artifact missing from store"
-				break
-			}
-			var a batch.Artifact
-			if json.Unmarshal(data, &a) != nil || a.SPO == nil {
-				s.st.NoteCorrupt()
+			res, err := rs.Lookup(input)
+			switch {
+			case errors.Is(err, batch.ErrCorrupt):
 				r.Error = "artifact corrupt"
-				break
+			case err != nil:
+				r.Error = "artifact missing from store"
+			default:
+				r.Spec, r.SPO, r.Diags = res.Artifact.Spec, res.Artifact.SPO, res.Artifact.Diags
 			}
-			r.Spec, r.SPO, r.Diags = a.Spec, a.SPO, a.Diags
 		case ItemQuarantined:
 			r.Error = it.Error
 			r.Diags = it.Diags
@@ -1049,7 +1046,7 @@ func (j *job) attempt(idx, attempt int) batch.Result {
 		Name: name,
 		Open: func() (io.ReadCloser, error) { return os.Open(path) },
 	}, batch.Options{Store: j.svc.st, Config: j.svc.cfgHash})
-	if res.Err == nil && !res.Cached && !j.svc.st.Has(j.svc.cfgHash, res.Input) {
+	if res.Err == nil && !res.Stored {
 		// Durability before completion: a result that never reached the
 		// store cannot be marked done (the journal would point at
 		// nothing), so a failed store write is a failed attempt.

@@ -180,13 +180,12 @@ func (c *Config) applyDefaults() {
 // Handler on any http.Server (or use Start/Shutdown), and it is ready for
 // concurrent traffic.
 type Server struct {
-	cfg     Config
-	pipe    *core.Pipeline
-	cache   *lruCache
-	cfgHash store.Hash // pipeline ConfigHash, keying the persistent store
-	sem     chan struct{}
-	mux     *http.ServeMux
-	handler http.Handler // mux wrapped in the request-ID/access-log middleware
+	cfg      Config
+	pipe     *core.Pipeline
+	resolver *batch.Resolver // LRU → store → translate → persist
+	sem      chan struct{}
+	mux      *http.ServeMux
+	handler  http.Handler // mux wrapped in the request-ID/access-log middleware
 
 	httpSrv  *http.Server
 	listener net.Listener
@@ -223,10 +222,12 @@ func New(pipe *core.Pipeline, cfg Config) *Server {
 		pipe.Metrics = core.NewPipelineMetrics(cfg.Registry)
 	}
 	s := &Server{
-		cfg:   cfg,
-		pipe:  pipe,
-		cache: newLRUCache(cfg.CacheSize),
-		sem:   make(chan struct{}, cfg.Workers),
+		cfg:  cfg,
+		pipe: pipe,
+		// The config hash keying the store is fixed for the server's
+		// lifetime (the pipeline is immutable once serving).
+		resolver: batch.NewResolver(pipe, batch.Options{Store: cfg.Store, Config: pipe.ConfigHash(), Timeout: cfg.Timeout}, cfg.CacheSize),
+		sem:      make(chan struct{}, cfg.Workers),
 
 		requests:    cfg.Registry.Counter("tdserve_requests_total", "translate requests (single and batch items)"),
 		verifyReqs:  cfg.Registry.Counter("tdserve_verify_requests_total", "verification requests"),
@@ -240,11 +241,6 @@ func New(pipe *core.Pipeline, cfg Config) *Server {
 		badRequests: cfg.Registry.Counter("tdserve_bad_requests_total", "requests refused with 400"),
 		inflight:    cfg.Registry.Gauge("tdserve_inflight_translations", "translations currently executing"),
 		queued:      cfg.Registry.Gauge("tdserve_queued_requests", "requests waiting for a worker slot"),
-	}
-	if cfg.Store != nil {
-		// The config hash is fixed for the server's lifetime (the pipeline
-		// is immutable once serving), so compute it once.
-		s.cfgHash = pipe.ConfigHash()
 	}
 	// The hit ratio is derived from the counters at scrape time, so it can
 	// never drift from them.
@@ -466,43 +462,24 @@ type ItemResult struct {
 // processResult is the outcome of one translation job.
 type processResult struct {
 	status    int
-	body      []byte // marshalled TranslateResponse or ErrorResponse
+	body      []byte          // marshalled TranslateResponse or ErrorResponse
+	art       *batch.Artifact // body decoded; nil on an LRU hit (see artifact)
 	cached    bool
 	inputHash string // hex content hash of the picture, "" on failure
 }
 
-// process translates one decoded picture through the cache, the bounded
-// worker pool and the per-request deadline. It is the shared execution
-// path of both endpoints. skipCache bypasses the cache read (debug
-// requests want to observe the pipeline stages, and a cache hit would
-// record none); the result is still stored for later requests.
+// process translates one decoded picture through the resolver's LRU and
+// store, the bounded worker pool and the per-request deadline. It is the
+// shared execution path of both endpoints. skipCache bypasses the lookup
+// (debug requests want to observe the pipeline stages, and a hit would
+// record none); the result is still stored for later requests. Hits never
+// take a worker slot.
 func (s *Server) process(ctx context.Context, img *imgproc.Gray, skipCache bool) processResult {
 	s.requests.Inc()
 	key := store.HashImage(img)
 	if !skipCache {
-		if body, ok := s.cache.get(key); ok {
-			s.cacheHits.Inc()
-			if sp := obs.StartSpan(ctx, "cache"); sp != nil {
-				sp.Bool("hit", true)
-				sp.End()
-			}
-			return processResult{status: http.StatusOK, body: body, cached: true, inputHash: key.Hex()}
-		}
-		// Second cache level: the persistent store. A hit promotes the
-		// artifact into the LRU so repeats stay off the disk too.
-		if s.cfg.Store != nil {
-			if body, ok := s.cfg.Store.Get(s.cfgHash, key); ok {
-				if validArtifact(body) {
-					s.storeHits.Inc()
-					s.cache.put(key, body)
-					if sp := obs.StartSpan(ctx, "cache"); sp != nil {
-						sp.Bool("hit", true).Bool("store", true)
-						sp.End()
-					}
-					return processResult{status: http.StatusOK, body: body, cached: true, inputHash: key.Hex()}
-				}
-				s.cfg.Store.NoteCorrupt()
-			}
+		if res, ok := s.lookup(ctx, key); ok {
+			return res
 		}
 	}
 	if sp := obs.StartSpan(ctx, "cache"); sp != nil {
@@ -523,56 +500,71 @@ func (s *Server) process(ctx context.Context, img *imgproc.Gray, skipCache bool)
 		translateHook()
 	}
 
-	// One-item batch: reuses the per-item deadline, cooperative
-	// cancellation and panic isolation of the batch plumbing, so a
-	// pathological upload can neither hang a worker slot past the
-	// deadline nor take the process down.
-	res := s.pipe.TranslateAllCtx(ctx, []*imgproc.Gray{img}, core.BatchOptions{
-		Workers: 1,
-		Timeout: s.cfg.Timeout,
-	})[0]
-	if res.Err != nil {
-		status := statusForCtxErr(res.Err)
+	res, err := s.resolver.Translate(ctx, key, img)
+	if err != nil {
 		msg := "translation failed"
-		if errors.Is(res.Err, context.DeadlineExceeded) {
+		if errors.Is(err, context.DeadlineExceeded) {
 			msg = fmt.Sprintf("translation exceeded the %v deadline", s.cfg.Timeout)
 		}
 		var ds []diag.Diagnostic
 		if res.Rep != nil {
 			ds = res.Rep.Diags
 		}
-		return errorResult(status, msg, ds)
+		return errorResult(statusForCtxErr(err), msg, ds)
 	}
-	if core.InputRefused(res.Rep) {
-		s.badRequests.Inc()
-		return errorResult(http.StatusBadRequest, "picture refused", res.Rep.Diags)
+	if res.Stored {
+		s.storePuts.Inc()
 	}
-	resp := TranslateResponse{SPO: res.SPO, Spec: res.SPO.SpecText()}
-	if res.Rep != nil {
-		resp.Diags = res.Rep.Diags
+	if !res.Refused {
+		s.cacheMisses.Inc()
 	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return errorResult(http.StatusInternalServerError, "encode response: "+err.Error(), nil)
-	}
-	s.cacheMisses.Inc()
-	s.cache.put(key, body)
-	if s.cfg.Store != nil {
-		// Best-effort write-through: a full or read-only store degrades to
-		// recomputation, never to a failed response.
-		if s.cfg.Store.Put(s.cfgHash, key, body) == nil {
-			s.storePuts.Inc()
-		}
-	}
-	return processResult{status: http.StatusOK, body: body, inputHash: key.Hex()}
+	return s.answer(res)
 }
 
-// validArtifact screens a stored body before serving it: it must be a
-// well-formed artifact with an SPO, or the store entry is ignored (and
-// later healed by the write-through).
-func validArtifact(body []byte) bool {
-	var a batch.Artifact
-	return json.Unmarshal(body, &a) == nil && a.SPO != nil
+// lookup answers key from the LRU or the store without translating,
+// counting the tier that answered; ok is false on a miss.
+func (s *Server) lookup(ctx context.Context, key store.Hash) (processResult, bool) {
+	res, err := s.resolver.Lookup(key)
+	if err != nil {
+		return processResult{}, false
+	}
+	if res.Tier == batch.TierStore {
+		s.storeHits.Inc()
+	} else {
+		s.cacheHits.Inc()
+	}
+	if sp := obs.StartSpan(ctx, "cache"); sp != nil {
+		sp.Bool("hit", true).Bool("store", res.Tier == batch.TierStore)
+		sp.End()
+	}
+	return s.answer(res), true
+}
+
+// answer turns a resolved artifact into a reply. An artifact that records
+// an input refusal answers 400 with the body a cold translation sends,
+// whichever tier held it.
+func (s *Server) answer(res batch.Resolved) processResult {
+	out := processResult{status: http.StatusOK, body: res.Body, art: res.Artifact,
+		cached: res.Tier != batch.TierMiss, inputHash: res.Input.Hex()}
+	if res.Refused {
+		s.badRequests.Inc()
+		refused := errorResult(http.StatusBadRequest, "picture refused", out.artifact().Diags)
+		refused.cached = out.cached
+		return refused
+	}
+	return out
+}
+
+// artifact returns the decoded artifact of a resolved result, decoding
+// the body when an LRU hit carried only the bytes.
+func (r processResult) artifact() *batch.Artifact {
+	if r.art != nil {
+		return r.art
+	}
+	a := new(batch.Artifact)
+	// Cannot fail: the resolver marshalled or validated every body.
+	_ = json.Unmarshal(r.body, a)
+	return a
 }
 
 // statusForCtxErr maps a context/translation error to an HTTP status.
@@ -664,17 +656,13 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 }
 
 // attachTrace re-encodes a success body with the trace export appended.
-// Runs only on ?debug=1 requests, so the double encode stays off the
+// Runs only on ?debug=1 requests, so the second encode stays off the
 // serving hot path.
 func attachTrace(res processResult, tr *obs.Trace) processResult {
-	var resp TranslateResponse
-	if err := json.Unmarshal(res.body, &resp); err != nil {
-		return res
-	}
 	body, err := json.Marshal(struct {
 		TranslateResponse
 		Trace *obs.Export `json:"trace"`
-	}{resp, tr.Export()})
+	}{*res.artifact(), tr.Export()})
 	if err != nil {
 		return res
 	}
@@ -804,15 +792,12 @@ func (m *multipartSource) Next() (batch.Item, error) {
 	return it, nil
 }
 
-// itemResultFrom converts a processResult into a batch item entry by
-// unmarshalling the already-encoded body into the matching payload shape.
+// itemResultFrom converts a processResult into a batch item entry: the
+// artifact on success, the decoded error body otherwise.
 func itemResultFrom(name string, res processResult) ItemResult {
 	item := ItemResult{Name: name, Status: res.status, Cached: res.cached}
 	if res.status == http.StatusOK {
-		var tr TranslateResponse
-		if err := json.Unmarshal(res.body, &tr); err == nil {
-			item.TranslateResponse = &tr
-		}
+		item.TranslateResponse = res.artifact()
 		return item
 	}
 	var er ErrorResponse
@@ -831,7 +816,7 @@ func itemResultFrom(name string, res processResult) ItemResult {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, `{"status":"ok","workers":%d,"queue_depth":%d,"cache_entries":%d}%s`,
-		s.cfg.Workers, s.cfg.QueueDepth, s.cache.len(), "\n")
+		s.cfg.Workers, s.cfg.QueueDepth, s.resolver.LRULen(), "\n")
 }
 
 // handleReadyz serves the readiness probe: 503 while the replica is

@@ -17,9 +17,12 @@ import (
 	"testing"
 	"time"
 
+	"tdmagic/internal/batch"
 	"tdmagic/internal/core"
 	"tdmagic/internal/dataset"
 	"tdmagic/internal/diag"
+	"tdmagic/internal/imgproc"
+	"tdmagic/internal/jobs"
 	"tdmagic/internal/store"
 	"tdmagic/internal/tdgen"
 )
@@ -137,68 +140,164 @@ func TestTranslateCacheHit(t *testing.T) {
 	}
 }
 
-// TestPersistentStoreSurvivesRestart pins the second cache level: a
-// translation written through to the artifact store is answered from it by
-// a fresh server process (empty LRU) with a byte-identical body.
-func TestPersistentStoreSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	st1, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, ts1 := newTestServer(t, Config{Workers: 2, Store: st1})
+// refusedPNG encodes a 2x2 picture: it decodes fine, but the pipeline
+// refuses it before any stage runs.
+func refusedPNG(t *testing.T) []byte {
+	t.Helper()
 	_, val := fixture(t)
-	png := pngBytes(t, val[0])
-
-	resp1 := postPNG(t, ts1.URL, png)
-	body1 := readBody(t, resp1)
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("first request: %d %s", resp1.StatusCode, body1)
-	}
-	if got := resp1.Header.Get("X-Cache"); got != "miss" {
-		t.Errorf("first X-Cache = %q, want miss", got)
-	}
-	if puts := s1.storePuts.Value(); puts != 1 {
-		t.Errorf("store puts = %d, want 1", puts)
-	}
-
-	// "Restart": a new Server over a reopened store, with its own empty LRU.
-	st2, err := store.Open(dir)
-	if err != nil {
+	tiny := val[0].Image.Crop(val[0].Image.Bounds()).ScaleTo(2, 2)
+	var buf bytes.Buffer
+	if err := tiny.EncodePNG(&buf); err != nil {
 		t.Fatal(err)
 	}
-	s2, ts2 := newTestServer(t, Config{Workers: 2, Store: st2})
-	resp2 := postPNG(t, ts2.URL, png)
-	body2 := readBody(t, resp2)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("second request: %d %s", resp2.StatusCode, body2)
+	return buf.Bytes()
+}
+
+// TestPersistentStoreSurvivesRestart pins the second cache level and its
+// parity across writers: whoever put a picture's artifact in the store —
+// tdserve, batch.Process or a job — a fresh server over that store
+// answers it exactly as a cold server does, twice: first from the store,
+// then from the LRU the store hit promoted it into. A refused picture
+// answers 400 with the cold body on /v1/translate, 400 as a batch item
+// and 400 on /v1/verify by ref.
+func TestPersistentStoreSurvivesRestart(t *testing.T) {
+	pipe, val := fixture(t)
+	ctx := context.Background()
+	writers := []struct {
+		name  string
+		write func(t *testing.T, st *store.Store, png []byte)
+	}{
+		{"tdserve", func(t *testing.T, st *store.Store, png []byte) {
+			s, ts := newTestServer(t, Config{Workers: 1, Store: st})
+			resp := postPNG(t, ts.URL, png)
+			readBody(t, resp)
+			if got := resp.Header.Get("X-Cache"); got != "miss" {
+				t.Errorf("writer X-Cache = %q, want miss", got)
+			}
+			if puts := s.storePuts.Value(); puts != 1 {
+				t.Errorf("store puts = %d, want 1", puts)
+			}
+		}},
+		{"batch", func(t *testing.T, st *store.Store, png []byte) {
+			r := batch.Process(ctx, pipe, batch.Item{Name: "p", Open: func() (io.ReadCloser, error) {
+				return io.NopCloser(bytes.NewReader(png)), nil
+			}}, batch.Options{Store: st, Config: pipe.ConfigHash()})
+			if r.Err != nil || !r.Stored {
+				t.Fatalf("batch.Process: err=%v stored=%v", r.Err, r.Stored)
+			}
+		}},
+		{"job", func(t *testing.T, st *store.Store, png []byte) {
+			svc, err := jobs.Open(t.TempDir(), pipe, st, jobs.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close(ctx)
+			sn, err := svc.Submit([]jobs.ItemSpec{{Name: "p", Data: bytes.NewReader(png)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sn, err = svc.Wait(ctx, sn.ID); err != nil || sn.State != jobs.StateDone {
+				t.Fatalf("job: state %s err %v", sn.State, err)
+			}
+		}},
 	}
-	if got := resp2.Header.Get("X-Cache"); got != "hit" {
-		t.Errorf("restarted X-Cache = %q, want hit", got)
+	pictures := []struct {
+		name   string
+		png    []byte
+		status int
+	}{
+		{"translatable", pngBytes(t, val[0]), http.StatusOK},
+		{"refused", refusedPNG(t), http.StatusBadRequest},
 	}
-	if !bytes.Equal(body1, body2) {
-		t.Error("store hit body is not byte-identical to the original response")
-	}
-	if hits := s2.storeHits.Value(); hits != 1 {
-		t.Errorf("store hits = %d, want 1", hits)
-	}
-	// The hit was promoted into the LRU, so a third request never touches disk.
-	resp3 := postPNG(t, ts2.URL, png)
-	readBody(t, resp3)
-	if got := resp3.Header.Get("X-Cache"); got != "hit" {
-		t.Errorf("third X-Cache = %q, want hit", got)
-	}
-	if hits := s2.storeHits.Value(); hits != 1 {
-		t.Errorf("store hits after LRU promotion = %d, want still 1", hits)
+	for _, pic := range pictures {
+		_, cold := newTestServer(t, Config{Workers: 1})
+		resp := postPNG(t, cold.URL, pic.png)
+		want := readBody(t, resp)
+		if resp.StatusCode != pic.status {
+			t.Fatalf("%s: cold status %d, want %d: %s", pic.name, resp.StatusCode, pic.status, want)
+		}
+		img, err := imgproc.DecodePNG(bytes.NewReader(pic.png))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := store.HashImage(img).Hex()
+
+		for _, w := range writers {
+			t.Run(w.name+"/"+pic.name, func(t *testing.T) {
+				st, err := store.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.write(t, st, pic.png)
+
+				// Each endpoint asks a server with an empty LRU twice.
+				s, ts := newTestServer(t, Config{Workers: 1, Store: st})
+				for i := 0; i < 2; i++ {
+					resp := postPNG(t, ts.URL, pic.png)
+					body := readBody(t, resp)
+					if resp.StatusCode != pic.status || !bytes.Equal(body, want) {
+						t.Errorf("translate %d: %d %s, want the cold %d %s", i, resp.StatusCode, body, pic.status, want)
+					}
+					if got := resp.Header.Get("X-Cache"); got != "hit" {
+						t.Errorf("translate %d: X-Cache = %q, want hit", i, got)
+					}
+				}
+				if sh, ch := s.storeHits.Value(), s.cacheHits.Value(); sh != 1 || ch != 1 {
+					t.Errorf("store hits %d, LRU hits %d: want the store, then the LRU", sh, ch)
+				}
+				if pic.status == http.StatusOK {
+					return
+				}
+
+				_, ts = newTestServer(t, Config{Workers: 1, Store: st})
+				for i := 0; i < 2; i++ {
+					body, ctype := multipartJob(t, []string{"p.png"}, [][]byte{pic.png})
+					resp, err := http.Post(ts.URL+"/v1/translate/batch", ctype, body)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var out struct {
+						Results []ItemResult `json:"results"`
+					}
+					if err := json.Unmarshal(readBody(t, resp), &out); err != nil || len(out.Results) != 1 {
+						t.Fatalf("batch %d: %v %+v", i, err, out)
+					}
+					if got := out.Results[0]; got.Status != http.StatusBadRequest || got.TranslateResponse != nil {
+						t.Errorf("batch %d: item %+v, want a 400 without an SPO", i, got)
+					}
+				}
+
+				_, ts = newTestServer(t, Config{Workers: 1, Store: st})
+				for i := 0; i < 2; i++ {
+					resp := postVerify(t, ts.URL, []vpart{{"ref", []byte(ref)}, {"vcd", []byte("$enddefinitions $end\n")}})
+					if body := readBody(t, resp); resp.StatusCode != http.StatusBadRequest || !bytes.Equal(body, want) {
+						t.Errorf("verify by ref %d: %d %s, want the cold 400 %s", i, resp.StatusCode, body, want)
+					}
+				}
+			})
+		}
 	}
 }
 
 // TestQueueOverflow429 fills the single worker slot and the one-deep wait
 // queue, then asserts the next request is shed with 429 + Retry-After
-// while the admitted requests still complete.
+// while the admitted requests still complete — and that hits bypass the
+// gate: a picture in the LRU and one only in the store each answer 200 at
+// once while the slot and the queue stay full.
 func TestQueueOverflow429(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, CacheSize: -1})
-	_, val := fixture(t)
+	pipe, val := fixture(t)
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Store: st})
+	inLRU, inStore := pngBytes(t, val[3]), pngBytes(t, val[4])
+	readBody(t, postPNG(t, ts.URL, inLRU))
+	r := batch.Process(context.Background(), pipe, batch.Item{Name: "s", Image: val[4].Image},
+		batch.Options{Store: st, Config: pipe.ConfigHash()})
+	if r.Err != nil || !r.Stored {
+		t.Fatalf("seed the store: err=%v stored=%v", r.Err, r.Stored)
+	}
 
 	started := make(chan struct{}, 4)
 	block := make(chan struct{})
@@ -245,6 +344,17 @@ func TestQueueOverflow429(t *testing.T) {
 	}
 	if s.rejections.Value() != 1 {
 		t.Errorf("rejections = %d, want 1", s.rejections.Value())
+	}
+
+	for name, png := range map[string][]byte{"LRU": inLRU, "store": inStore} {
+		resp := postPNG(t, ts.URL, png)
+		body := readBody(t, resp)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
+			t.Errorf("%s hit under a full queue: %d X-Cache=%q %s", name, resp.StatusCode, resp.Header.Get("X-Cache"), body)
+		}
+	}
+	if s.rejections.Value() != 1 {
+		t.Errorf("rejections after hits = %d, want still 1", s.rejections.Value())
 	}
 
 	close(block)
@@ -514,32 +624,32 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
-// TestLRUCacheEviction exercises the cache directly: capacity bounds,
-// recency order, disabled mode.
+// TestLRUCacheEviction exercises the LRU through the service: capacity
+// bounds, recency order, disabled mode.
 func TestLRUCacheEviction(t *testing.T) {
-	c := newLRUCache(2)
-	k := func(i byte) store.Hash { var key store.Hash; key[0] = i; return key }
-	c.put(k(1), []byte("one"))
-	c.put(k(2), []byte("two"))
-	if _, ok := c.get(k(1)); !ok {
-		t.Fatal("k1 missing")
+	_, val := fixture(t)
+	s, ts := newTestServer(t, Config{Workers: 1, CacheSize: 2})
+	check := func(url string, pic int, want string) {
+		t.Helper()
+		resp := postPNG(t, url, pngBytes(t, val[pic]))
+		readBody(t, resp)
+		if got := resp.Header.Get("X-Cache"); got != want {
+			t.Errorf("picture %d: X-Cache = %q, want %s", pic, got, want)
+		}
 	}
-	c.put(k(3), []byte("three")) // evicts k2 (least recently used)
-	if _, ok := c.get(k(2)); ok {
-		t.Error("k2 not evicted")
-	}
-	if b, ok := c.get(k(1)); !ok || string(b) != "one" {
-		t.Error("k1 lost")
-	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
+	check(ts.URL, 0, "miss")
+	check(ts.URL, 1, "miss")
+	check(ts.URL, 0, "hit")
+	check(ts.URL, 2, "miss") // evicts picture 1 (least recently used)
+	check(ts.URL, 0, "hit")
+	check(ts.URL, 1, "miss")
+	if n := s.resolver.LRULen(); n != 2 {
+		t.Errorf("LRU holds %d entries, want 2", n)
 	}
 
-	d := newLRUCache(-1)
-	d.put(k(9), []byte("x"))
-	if _, ok := d.get(k(9)); ok {
-		t.Error("disabled cache stored an entry")
-	}
+	_, off := newTestServer(t, Config{Workers: 1, CacheSize: -1})
+	check(off.URL, 0, "miss")
+	check(off.URL, 0, "miss")
 }
 
 // TestConcurrentMixedTraffic hammers the service with concurrent repeat

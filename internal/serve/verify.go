@@ -149,12 +149,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 				s.writeResult(w, res)
 				return
 			}
-			var resp TranslateResponse
-			if err := json.Unmarshal(res.body, &resp); err != nil || resp.SPO == nil {
-				s.writeError(w, http.StatusInternalServerError, "decode translation artifact", nil)
-				return
-			}
-			p, inputHash, cached = resp.SPO, res.inputHash, res.cached
+			p, inputHash, cached = res.artifact().SPO, res.inputHash, res.cached
 		case "ref":
 			if p != nil {
 				s.badRequests.Inc()
@@ -172,17 +167,16 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 				s.writeError(w, http.StatusBadRequest, "ref is not an input hash: "+err.Error(), nil)
 				return
 			}
-			body, ok := s.lookupArtifact(key)
+			res, ok := s.lookup(ctx, key)
 			if !ok {
 				s.writeError(w, http.StatusNotFound, "no cached translation for ref "+key.Hex()+"; POST the image instead", nil)
 				return
 			}
-			var resp TranslateResponse
-			if err := json.Unmarshal(body, &resp); err != nil || resp.SPO == nil {
-				s.writeError(w, http.StatusInternalServerError, "decode stored artifact", nil)
+			if res.status != http.StatusOK {
+				s.writeResult(w, res)
 				return
 			}
-			p, inputHash, cached = resp.SPO, key.Hex(), true
+			p, inputHash, cached = res.artifact().SPO, res.inputHash, true
 		case "delays":
 			dec := json.NewDecoder(io.LimitReader(part, 1<<20))
 			dec.DisallowUnknownFields()
@@ -208,27 +202,6 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	s.badRequests.Inc()
 	s.writeError(w, http.StatusBadRequest, "missing vcd part", nil)
-}
-
-// lookupArtifact resolves a content hash through the LRU and then the
-// persistent store, promoting store hits into the LRU — the same
-// two-level read path process uses, minus the translation fallback.
-func (s *Server) lookupArtifact(key store.Hash) ([]byte, bool) {
-	if body, ok := s.cache.get(key); ok {
-		s.cacheHits.Inc()
-		return body, true
-	}
-	if s.cfg.Store != nil {
-		if body, ok := s.cfg.Store.Get(s.cfgHash, key); ok {
-			if validArtifact(body) {
-				s.storeHits.Inc()
-				s.cache.put(key, body)
-				return body, true
-			}
-			s.cfg.Store.NoteCorrupt()
-		}
-	}
-	return nil, false
 }
 
 // runVerify occupies a worker slot and streams the dump through the

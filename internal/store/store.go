@@ -165,12 +165,6 @@ func (s *Store) Get(cfg, input Hash) ([]byte, bool) {
 	return data, true
 }
 
-// Has reports whether an artifact exists under (cfg, input).
-func (s *Store) Has(cfg, input Hash) bool {
-	_, err := os.Stat(s.objPath(cfg, input))
-	return err == nil
-}
-
 // Put stores data under (cfg, input) atomically: the bytes are staged in
 // tmp/ and renamed into place, so a concurrent or crashed reader never
 // sees a partial artifact.

@@ -70,8 +70,8 @@ func TestPutGetRemove(t *testing.T) {
 	if !ok || string(data) != `{"spec":"x"}` {
 		t.Fatalf("get = %q, %v", data, ok)
 	}
-	if !s.Has(cfg, input) {
-		t.Error("Has = false after Put")
+	if _, ok := s.Get(cfg, input); !ok {
+		t.Error("Get missed after Put")
 	}
 	// Overwrite replaces content atomically.
 	if err := s.Put(cfg, input, []byte("v2")); err != nil {
@@ -83,8 +83,8 @@ func TestPutGetRemove(t *testing.T) {
 	if err := s.Remove(cfg, input); err != nil {
 		t.Fatal(err)
 	}
-	if s.Has(cfg, input) {
-		t.Error("Has = true after Remove")
+	if _, ok := s.Get(cfg, input); ok {
+		t.Error("Get hit after Remove")
 	}
 	if err := s.Remove(cfg, input); err != nil {
 		t.Errorf("double remove: %v", err)
@@ -190,7 +190,7 @@ func TestFaultHookAbortsWrites(t *testing.T) {
 	if err := s.Put(cfg, input, []byte("artifact")); err == nil {
 		t.Fatal("Put succeeded under an injected write fault")
 	}
-	if s.Has(cfg, input) {
+	if _, ok := s.Get(cfg, input); ok {
 		t.Fatal("failed Put left a committed artifact")
 	}
 	raw := HashBytes([]byte("raw"))
