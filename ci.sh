@@ -80,7 +80,8 @@
 #                     state line, no truncation), follow the same job with
 #                     tdmagic -watch to its exit code, then assert the
 #                     tdstore_*/tdjobs_* series with exemplars on /metrics
-#                     and the job's root trace + job_done event in
+#                     (tdjobs_jobs_total counting the resumed job) and the
+#                     job's root trace + job_resumed and job_done events in
 #                     /debug/flight
 set -eux
 
@@ -436,10 +437,11 @@ grep -q '^tdstore_misses_total [1-9]' "$tmp/jmetrics.txt"
 grep -q '^tdstore_writes_total [1-9]' "$tmp/jmetrics.txt"
 grep -q '^tdstore_corrupt_total 0$' "$tmp/jmetrics.txt"
 grep -q '^tdjobs_item_seconds_count [1-9]' "$tmp/jmetrics.txt"
+grep -q '^tdjobs_jobs_total 1$' "$tmp/jmetrics.txt" # the resumed job counts
 grep -q "^# EXEMPLAR tdjobs_item_seconds_bucket.* $job_id " "$tmp/jmetrics.txt"
 
-# The finished job left its root trace and terminal event in the flight
-# recorder, retrievable by job ID.
+# The finished job left its root trace, resume and terminal events in the
+# flight recorder, retrievable by job ID.
 curl -fsS "http://$addr/debug/flight?request_id=$job_id" >"$tmp/jobflight.json"
 python3 - "$tmp/jobflight.json" "$job_id" <<'EOF'
 import json, sys
@@ -447,6 +449,7 @@ d = json.load(open(sys.argv[1]))
 entries = d["entries"] + d["pinned"]
 kinds = {(e["kind"], e["name"]) for e in entries}
 assert ("trace", "job") in kinds, f"no job trace in flight for {sys.argv[2]}: {sorted(kinds)}"
+assert ("event", "job_resumed") in kinds, f"no job_resumed flight event: {sorted(kinds)}"
 assert ("event", "job_done") in kinds, f"no job_done flight event: {sorted(kinds)}"
 EOF
 kill -TERM "$serve_pid"

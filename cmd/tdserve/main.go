@@ -160,13 +160,9 @@ func main() {
 			MaxAttempts: *jobsRetries,
 			Timeout:     *timeout,
 			Throttle:    *jobsPause,
-			// The recorder doubles as the job tracing switch: with it on,
-			// every job runs under a root span whose per-item children land
-			// in /debug/flight when the job finishes.
-			Trace:    cfg.Flight != nil,
-			Flight:   cfg.Flight,
-			Registry: cfg.Registry,
-			Logger:   cfg.Logger,
+			Flight:      cfg.Flight,
+			Registry:    cfg.Registry,
+			Logger:      cfg.Logger,
 		})
 		if err != nil {
 			log.Fatal(err)

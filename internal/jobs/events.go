@@ -15,11 +15,11 @@ import (
 // events and sees an in-band "truncated" marker exactly where the gap
 // sits. Memory is bounded per subscriber and zero with none attached.
 //
-// The publish invariant: publishLocked is only called with j.mu held.
-// That makes snapshot+subscribe atomic without a second ordering
-// mechanism, and means the hub mutex is always acquired inside j.mu —
-// one lock order, no deadlock (the PR-8 logging deadlock was exactly a
-// violation of this kind of discipline).
+// The publish invariant: the hub is published to only by job.emit,
+// which runs with j.mu held. That makes snapshot+subscribe atomic
+// without a second ordering mechanism, and means the hub mutex is always
+// acquired inside j.mu — one lock order, no deadlock (an earlier logging
+// deadlock was exactly a violation of this kind of discipline).
 
 // EventType enumerates the lifecycle event kinds.
 type EventType string
@@ -41,7 +41,7 @@ const (
 
 // Event is one NDJSON line of GET /v1/jobs/{id}/events. Item-scoped
 // fields are set only on item events; Stats only on snapshot,
-// checkpoint and terminal events.
+// submitted, resumed and terminal events.
 type Event struct {
 	Seq    uint64    `json:"seq"`
 	TimeNS int64     `json:"time_unix_ns"`
@@ -77,11 +77,10 @@ type eventHub struct {
 }
 
 type subscriber struct {
-	mu      sync.Mutex
-	buf     []Event
-	dropped uint64
-	closed  bool
-	notify  chan struct{}
+	mu     sync.Mutex
+	buf    []Event
+	closed bool
+	notify chan struct{}
 }
 
 // publish stamps and fans out one event. Callers hold j.mu (see the
@@ -163,26 +162,27 @@ func (b *subscriber) wake() {
 }
 
 // push enqueues one event, dropping the newest when the queue is full.
-// When space reopens after a drop, an in-band truncation marker is
-// inserted first, exactly at the gap, so a consumer sees
-// [...kept events, truncated{n}, ...newer events] in true order.
+// The first drop appends an in-band truncation marker as the queue's
+// last entry and later drops count into it; once space reopens, newer
+// events queue behind it, so a consumer sees
+// [...kept events, truncated{n}, ...newer events] in true order. The
+// queue holds at most subBuffer entries plus that one trailing marker.
 func (b *subscriber) push(ev Event) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return
 	}
-	if b.dropped > 0 && len(b.buf)+1 < subBuffer {
+	switch n := len(b.buf); {
+	case n < subBuffer:
+		b.buf = append(b.buf, ev)
+	case b.buf[n-1].Type == EventTruncated:
+		b.buf[n-1].Dropped++
+	default:
 		b.buf = append(b.buf, Event{
-			Type: EventTruncated, Job: ev.Job, Dropped: b.dropped,
+			Type: EventTruncated, Job: ev.Job, Dropped: 1,
 			TimeNS: ev.TimeNS,
 		})
-		b.dropped = 0
-	}
-	if len(b.buf) >= subBuffer {
-		b.dropped++
-	} else {
-		b.buf = append(b.buf, ev)
 	}
 	b.mu.Unlock()
 	b.wake()
@@ -211,12 +211,6 @@ func (su *Subscription) Next(ctx context.Context) (Event, error) {
 			}
 			b.mu.Unlock()
 			return ev, nil
-		}
-		if b.dropped > 0 { // gap at the tail with nothing after it yet
-			n := b.dropped
-			b.dropped = 0
-			b.mu.Unlock()
-			return Event{Type: EventTruncated, Dropped: n, TimeNS: time.Now().UnixNano()}, nil
 		}
 		closed := b.closed
 		b.mu.Unlock()

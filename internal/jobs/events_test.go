@@ -37,19 +37,22 @@ func collectEvents(t *testing.T, sub *Subscription) []Event {
 func TestEventsMidJob(t *testing.T) {
 	pipe := setup(t)
 	cfg := fastCfg()
-	cfg.Throttle = 20 * time.Millisecond // keep the job alive past subscribe
-	cfg.Trace = true
 	flight := obs.NewRecorder(obs.RecorderConfig{})
 	cfg.Flight = flight
 	svc, _, _ := newService(t, pipe, cfg)
 	defer closeService(t, svc)
 
 	paths := writeCorpus(t, 4)
+	// Hold every worker slot until the stream is attached: the scheduler
+	// claims before it throttles, so without the gate it could claim
+	// items ahead of the subscription.
+	releaseSlots := holdSlots(svc)
 	sn, err := svc.Submit(pathSpecs(paths))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sub, err := svc.Events(sn.ID, true)
+	releaseSlots()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,10 +248,23 @@ func TestEventsUnknownJob(t *testing.T) {
 	}
 }
 
+// holdSlots fills the service's worker pool so nothing is claimed until
+// the returned release runs.
+func holdSlots(svc *Service) (release func()) {
+	for i := 0; i < cap(svc.sem); i++ {
+		svc.sem <- struct{}{}
+	}
+	return func() {
+		for i := 0; i < cap(svc.sem); i++ {
+			<-svc.sem
+		}
+	}
+}
+
 // TestEventTruncationMarker exercises the slow-consumer path at the
-// subscriber level: overflow drops the newest events, and the marker
-// lands exactly at the gap once space reopens (or at the tail when the
-// queue drains first).
+// subscriber level: overflow drops the newest events into a marker kept
+// as the queue's last entry, so it lands exactly at the gap whether
+// space reopens or the queue drains first.
 func TestEventTruncationMarker(t *testing.T) {
 	var h eventHub
 	raw, _ := h.subscribe()
@@ -276,16 +292,43 @@ func TestEventTruncationMarker(t *testing.T) {
 		seen = append(seen, ev)
 	}
 	marker, last := seen[len(seen)-2], seen[len(seen)-1]
-	if marker.Type != EventTruncated || marker.Dropped != 7 {
-		t.Fatalf("marker = %+v, want truncated{7}", marker)
+	if marker.Type != EventTruncated || marker.Dropped != 7 || marker.Job != "j" {
+		t.Fatalf("marker = %+v, want truncated{7} for job j", marker)
 	}
 	if last.Type != EventCheckpoint {
 		t.Fatalf("post-gap event = %+v, want checkpoint", last)
 	}
 
-	// Tail-gap variant: drop with nothing published after; Next reports
-	// the gap in-band once the queue is empty.
+	// One-slot variant: with exactly one slot reopened the marker itself
+	// holds it, so the next event widens the gap rather than queueing
+	// ahead of the marker; later events queue behind it.
 	sub.Close()
+	raw1, _ := h.subscribe()
+	sub1 := &Subscription{hub: &h, sub: raw1}
+	for i := 0; i < subBuffer+7; i++ {
+		h.publish(Event{Type: EventHeartbeat, Job: "j", Index: i})
+	}
+	if _, err := sub1.Next(ctx); err != nil {
+		t.Fatal(err)
+	}
+	h.publish(Event{Type: EventCheckpoint, Job: "j"})
+	for i := 1; i < subBuffer; i++ {
+		ev, err := sub1.Next(ctx)
+		if err != nil || ev.Type != EventHeartbeat || ev.Index != i {
+			t.Fatalf("event %d: %+v, %v, want heartbeat", i, ev, err)
+		}
+	}
+	h.publish(Event{Type: EventCheckpoint, Job: "j"})
+	if ev, err := sub1.Next(ctx); err != nil || ev.Type != EventTruncated || ev.Dropped != 8 || ev.Job != "j" {
+		t.Fatalf("one-slot marker = %+v, %v, want truncated{8} for job j", ev, err)
+	}
+	if ev, err := sub1.Next(ctx); err != nil || ev.Type != EventCheckpoint {
+		t.Fatalf("post-gap event = %+v, %v, want checkpoint", ev, err)
+	}
+
+	// Tail-gap variant: drop with nothing published after; the marker
+	// is the last event before the stream ends.
+	sub1.Close()
 	raw2, _ := h.subscribe()
 	sub2 := &Subscription{hub: &h, sub: raw2}
 	for i := 0; i < subBuffer+3; i++ {
@@ -297,8 +340,8 @@ func TestEventTruncationMarker(t *testing.T) {
 		}
 	}
 	ev, err := sub2.Next(ctx)
-	if err != nil || ev.Type != EventTruncated || ev.Dropped != 3 {
-		t.Fatalf("tail marker = %+v, %v, want truncated{3}", ev, err)
+	if err != nil || ev.Type != EventTruncated || ev.Dropped != 3 || ev.Job != "j" {
+		t.Fatalf("tail marker = %+v, %v, want truncated{3} for job j", ev, err)
 	}
 	h.close()
 	if _, err := sub2.Next(ctx); !errors.Is(err, io.EOF) {

@@ -48,14 +48,12 @@ type Config struct {
 	Throttle time.Duration
 	// MaxItems caps a single job's item count (default 16384).
 	MaxItems int
-	// Trace attaches a span trace to every job: a "job" root span with
-	// one "job.item" child per attempt (plus the pipeline's stage
-	// spans), carrying lease extensions, backoff sleeps, retries and
-	// quarantines as span events. Off by default — a 15k-item job's
-	// trace is real memory; the flight recorder truncates on capture.
-	Trace bool
-	// Flight, when non-nil, receives job lifecycle events and (with
-	// Trace) each finished job's trace, keyed by the job ID, so
+	// Flight, when non-nil, receives job lifecycle events and traces
+	// every job: a "job" root span with one "job.item" child per attempt
+	// (plus the pipeline's stage spans), carrying lease extensions,
+	// backoff sleeps, retries and quarantines as span events. The trace
+	// is captured when the job's scheduler exits (truncated on capture:
+	// a 15k-item job's trace is real memory), keyed by the job ID, so
 	// GET /debug/flight?request_id=<job> explains a job after the fact.
 	Flight *obs.Recorder
 	// Registry receives the tdjobs_ metrics; nil creates a private one.
@@ -129,11 +127,10 @@ type Service struct {
 
 	sem chan struct{}
 
-	mu     sync.Mutex
-	jobs   map[string]*job
-	closed bool
-	drain  chan struct{}
-	wg     sync.WaitGroup
+	mu    sync.Mutex
+	jobs  map[string]*job
+	drain chan struct{} // closed once Close begins the drain
+	wg    sync.WaitGroup
 
 	m serviceMetrics
 }
@@ -150,12 +147,11 @@ type job struct {
 	epoch    []uint64 // per-item fencing token, bumped at claim and reclaim
 	inflight int
 	dirty    bool // last journal write failed; retry at next checkpoint
-	draining bool
 
 	ctx      context.Context
 	cancel   context.CancelFunc
 	trace    *obs.Trace
-	span     *obs.Span     // "job" root span; nil unless Config.Trace
+	span     *obs.Span     // "job" root span; nil unless Config.Flight
 	resumed  bool          // job was recovered from a journal after a restart
 	hub      eventHub      // live lifecycle event fan-out
 	wake     chan struct{} // buffered(1) scheduler kick
@@ -235,13 +231,8 @@ func (s *Service) recover() error {
 			}
 			// Both generations corrupt: park the job as failed rather
 			// than guessing at its items.
-			rec = &Record{ID: id, State: StateFailed,
-				Error:   "journal unrecoverable: " + err.Error(),
-				Created: time.Now().UnixNano()}
-			_ = writeRecord(dir, rec)
-			parked := s.track(rec, dir)
-			parked.closeTerminal()
-			parked.hub.close()
+			s.track(&Record{ID: id, Created: time.Now().UnixNano()}, dir).
+				park("journal unrecoverable: " + err.Error())
 			continue
 		}
 		rec.ID = id // the directory is authoritative
@@ -252,10 +243,7 @@ func (s *Service) recover() error {
 			continue
 		}
 		if rec.Config != s.cfgHash.Hex() {
-			j.mu.Lock()
-			j.setTerminalLocked(StateFailed, "pipeline configuration changed since submission")
-			j.mu.Unlock()
-			j.hub.close()
+			j.park("pipeline configuration changed since submission")
 			continue
 		}
 		// Leases held by the dead process are forfeit: reclaim every
@@ -274,12 +262,9 @@ func (s *Service) recover() error {
 			}
 		}
 		j.checkpointLocked()
-		st := j.rec.stats()
-		j.hub.publish(Event{Type: EventResumed, Job: j.id, State: j.rec.State, Stats: &st})
+		j.emit(Event{Type: EventResumed})
 		j.mu.Unlock()
-		s.cfg.Flight.Event(j.id, "job_resumed")
 		s.start(j)
-		s.logJob(j, "job resumed")
 	}
 	return nil
 }
@@ -306,7 +291,7 @@ func (s *Service) track(rec *Record, dir string) *job {
 		wake:     make(chan struct{}, 1),
 		terminal: make(chan struct{}),
 	}
-	if s.cfg.Trace {
+	if s.cfg.Flight != nil {
 		j.trace = obs.NewTrace(rec.ID)
 		j.span = j.trace.Start("job")
 		j.span.Int("items", int64(len(rec.Items)))
@@ -349,10 +334,7 @@ func (s *Service) Submit(specs []ItemSpec) (Snapshot, error) {
 // with the access-log line that created it. It never enters the
 // results stream: item results stay byte-identical across re-runs.
 func (s *Service) SubmitRequest(requestID string, specs []ItemSpec) (Snapshot, error) {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	if s.draining() {
 		return Snapshot{}, ErrClosed
 	}
 	if len(specs) == 0 {
@@ -400,14 +382,10 @@ func (s *Service) SubmitRequest(requestID string, specs []ItemSpec) (Snapshot, e
 		return Snapshot{}, err
 	}
 	j := s.track(&rec, dir)
-	s.m.submitted.Inc()
 	j.mu.Lock()
-	st := j.rec.stats()
-	j.hub.publish(Event{Type: EventSubmitted, Job: id, State: j.rec.State, Stats: &st})
+	j.emit(Event{Type: EventSubmitted})
 	j.mu.Unlock()
-	s.cfg.Flight.Event(id, "job_submitted", obs.I("items", int64(len(specs))))
 	s.start(j)
-	s.logJob(j, "job submitted")
 	return j.snapshot(false), nil
 }
 
@@ -494,7 +472,6 @@ func (s *Service) Cancel(id string) (Snapshot, error) {
 	j.mu.Lock()
 	if !j.rec.State.Terminal() {
 		j.setTerminalLocked(StateCancelled, "")
-		s.logJobLocked(j, "job cancelled")
 	}
 	j.mu.Unlock()
 	j.cancel()
@@ -571,8 +548,7 @@ func (s *Service) draining() bool {
 // service resumes exactly where this one stopped. ctx bounds the wait.
 func (s *Service) Close(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
+	if !s.draining() {
 		close(s.drain)
 	}
 	s.mu.Unlock()
@@ -587,32 +563,6 @@ func (s *Service) Close(ctx context.Context) error {
 	case <-ctx.Done():
 		return fmt.Errorf("jobs: drain: %w", ctx.Err())
 	}
-}
-
-// logJob emits one lifecycle log line. The caller must NOT hold j.mu.
-func (s *Service) logJob(j *job, msg string) {
-	if s.cfg.Logger == nil {
-		return
-	}
-	s.logSnapshot(j.id, j.snapshot(false), msg)
-}
-
-// logJobLocked is logJob for callers already holding j.mu.
-func (s *Service) logJobLocked(j *job, msg string) {
-	if s.cfg.Logger == nil {
-		return
-	}
-	s.logSnapshot(j.id, j.snapshotLocked(false), msg)
-}
-
-func (s *Service) logSnapshot(id string, st Snapshot, msg string) {
-	s.cfg.Logger.Info(msg,
-		slog.String("job", id),
-		slog.String("state", string(st.State)),
-		slog.Int("items", st.Stats.Total),
-		slog.Int("done", st.Stats.Done),
-		slog.Int("quarantined", st.Stats.Quarantined),
-	)
 }
 
 // ---------------------------------------------------------------------------
@@ -662,11 +612,82 @@ func (j *job) setTerminalLocked(st State, msg string) {
 	j.rec.State = st
 	j.rec.Error = msg
 	j.checkpointLocked()
-	stats := j.rec.stats()
-	j.hub.publish(Event{Type: EventTerminal, Job: j.id, State: st, Error: msg, Stats: &stats})
-	j.svc.cfg.Flight.Event(j.id, "job_"+string(st),
-		obs.I("done", int64(stats.Done)), obs.I("quarantined", int64(stats.Quarantined)))
+	j.emit(Event{Type: EventTerminal, Error: msg})
 	j.closeTerminal()
+}
+
+// park fails a job that cannot run at all; it never gets a scheduler.
+func (j *job) park(msg string) {
+	j.mu.Lock()
+	j.setTerminalLocked(StateFailed, msg)
+	j.mu.Unlock()
+	j.hub.close()
+}
+
+// emit is the one writer of lifecycle telemetry. Called under j.mu at
+// every transition, it publishes ev to the live stream and derives from
+// it the flight event, the job span's events, the log line and the
+// tdjobs_ counters. Only submitted, resumed and terminal events carry
+// Stats, so only they pay for the per-item scan.
+func (j *job) emit(ev Event) {
+	s := j.svc
+	ev.Job = j.id
+	switch ev.Type {
+	case EventSubmitted, EventResumed, EventTerminal:
+		st := j.rec.stats()
+		ev.Stats = &st
+		fallthrough
+	case EventCheckpoint:
+		ev.State = j.rec.State
+	}
+	j.hub.publish(ev)
+
+	index, attempt := obs.I("index", int64(ev.Index)), obs.I("attempt", int64(ev.Attempt))
+	msg := ""
+	switch ev.Type {
+	case EventSubmitted, EventResumed:
+		s.m.submitted.Inc()
+		s.cfg.Flight.Event(j.id, "job_"+string(ev.Type), obs.I("items", int64(ev.Stats.Total)))
+		msg = "job " + string(ev.Type)
+	case EventRetried:
+		s.m.retries.Inc()
+		// One event for the retry decision, one for the backoff gate it
+		// opens — the trace shows both the failure and the sleep.
+		j.span.Event("retry", index, attempt, obs.I("epoch", int64(ev.Epoch)))
+		j.span.Event("backoff", index, obs.I("delay_ns", ev.DelayNS))
+	case EventQuarantined:
+		s.m.quarantined.Inc()
+		j.span.Event("quarantine", index, attempt, obs.I("epoch", int64(ev.Epoch)))
+		s.cfg.Flight.Event(j.id, "item_quarantined", index, attempt)
+		if l := s.cfg.Logger; l != nil {
+			l.Warn("item quarantined", slog.String("job", j.id),
+				slog.String("item", ev.Item), slog.Int("attempts", ev.Attempt),
+				slog.String("error", ev.Error))
+		}
+	case EventDone:
+		if *ev.Cached {
+			s.m.hits.Inc()
+		} else {
+			s.m.misses.Inc()
+		}
+		s.m.itemsDone.Inc()
+	case EventTerminal:
+		s.cfg.Flight.Event(j.id, "job_"+string(ev.State),
+			obs.I("done", int64(ev.Stats.Done)), obs.I("quarantined", int64(ev.Stats.Quarantined)))
+		msg = "job finished"
+		if ev.State == StateCancelled {
+			msg = "job cancelled"
+		}
+	}
+	if l := s.cfg.Logger; l != nil && msg != "" {
+		l.Info(msg,
+			slog.String("job", j.id),
+			slog.String("state", string(ev.State)),
+			slog.Int("items", ev.Stats.Total),
+			slog.Int("done", ev.Stats.Done),
+			slog.Int("quarantined", ev.Stats.Quarantined),
+		)
+	}
 }
 
 // checkpointLocked journals the record; a failed write keeps the
@@ -682,7 +703,7 @@ func (j *job) checkpointLocked() {
 		return
 	}
 	j.dirty = false
-	j.hub.publish(Event{Type: EventCheckpoint, Job: j.id, State: j.rec.State})
+	j.emit(Event{Type: EventCheckpoint})
 }
 
 // reclaimExpiredLocked takes back items whose lease lapsed: the worker is
@@ -716,35 +737,15 @@ func (j *job) failLocked(idx int, err error, ds []diag.Diagnostic) {
 	}
 	if it.Attempts >= j.svc.cfg.MaxAttempts {
 		it.State = ItemQuarantined
-		j.svc.m.quarantined.Inc()
-		if j.span != nil {
-			j.span.Event("quarantine", obs.I("index", int64(idx)),
-				obs.I("attempt", int64(it.Attempts)), obs.I("epoch", int64(j.epoch[idx])))
-		}
-		j.hub.publish(Event{Type: EventQuarantined, Job: j.id, Item: it.Name,
+		j.emit(Event{Type: EventQuarantined, Item: it.Name,
 			Index: idx, Attempt: it.Attempts, Epoch: j.epoch[idx], Error: it.Error})
-		j.svc.cfg.Flight.Event(j.id, "item_quarantined",
-			obs.I("index", int64(idx)), obs.I("attempt", int64(it.Attempts)))
-		if l := j.svc.cfg.Logger; l != nil {
-			l.Warn("item quarantined", slog.String("job", j.id),
-				slog.String("item", it.Name), slog.Int("attempts", it.Attempts),
-				slog.String("error", it.Error))
-		}
 		return
 	}
 	it.State = ItemPending
 	delay := Backoff(j.svc.cfg.BackoffBase, j.svc.cfg.BackoffCap, j.id, it.Name, it.Attempts)
 	it.NotBefore = time.Now().Add(delay).UnixNano()
 	j.rec.Retries++
-	j.svc.m.retries.Inc()
-	if j.span != nil {
-		// One event for the retry decision, one for the backoff gate it
-		// opens — the trace shows both the failure and the sleep.
-		j.span.Event("retry", obs.I("index", int64(idx)),
-			obs.I("attempt", int64(it.Attempts)), obs.I("epoch", int64(j.epoch[idx])))
-		j.span.Event("backoff", obs.I("index", int64(idx)), obs.I("delay_ns", int64(delay)))
-	}
-	j.hub.publish(Event{Type: EventRetried, Job: j.id, Item: it.Name,
+	j.emit(Event{Type: EventRetried, Item: it.Name,
 		Index: idx, Attempt: it.Attempts, Epoch: j.epoch[idx],
 		DelayNS: int64(delay), Error: it.Error})
 }
@@ -788,9 +789,6 @@ func (j *job) run() {
 		j.mu.Lock()
 		now := time.Now()
 		j.reclaimExpiredLocked(now)
-		if j.ctx.Err() != nil && !j.rec.State.Terminal() {
-			j.setTerminalLocked(StateCancelled, "")
-		}
 		if j.rec.State == StateQueued {
 			j.rec.State = StateRunning
 			j.checkpointLocked()
@@ -801,31 +799,22 @@ func (j *job) run() {
 			} else {
 				j.setTerminalLocked(StateDone, "")
 			}
-			j.svc.logJobLocked(j, "job finished")
 		}
-		if j.rec.State.Terminal() {
-			if j.inflight == 0 {
-				if j.dirty {
-					j.checkpointLocked()
-				}
+		// A terminal or draining job dispatches nothing more. Once its
+		// in-flight attempts report it exits, checkpointing first if it
+		// drained (the durable resume point) or a journal write failed.
+		if term := j.rec.State.Terminal(); term || j.svc.draining() {
+			if j.inflight > 0 {
 				j.mu.Unlock()
-				j.finish()
-				return
+				j.waitKick()
+				continue
+			}
+			if !term || j.dirty {
+				j.checkpointLocked()
 			}
 			j.mu.Unlock()
-			j.waitKick()
-			continue
-		}
-		if j.draining {
-			if j.inflight == 0 {
-				j.checkpointLocked() // durable resume point
-				j.mu.Unlock()
-				j.finish()
-				return
-			}
-			j.mu.Unlock()
-			j.waitKick()
-			continue
+			j.finish()
+			return
 		}
 		idx, next := j.nextReadyLocked(now)
 		j.mu.Unlock()
@@ -834,25 +823,14 @@ func (j *job) run() {
 			j.sleepUntil(next)
 			continue
 		}
-		// Drain wins over dispatch: once the service is draining, a ready
-		// sem slot must not race the drain case (select picks randomly
-		// among ready cases), or dispatch would stop only probabilistically.
-		select {
-		case <-j.svc.drain:
-			j.mu.Lock()
-			j.draining = true
-			j.mu.Unlock()
-			continue
-		default:
-		}
+		// A ready sem slot can win the select over a closed drain (select
+		// picks randomly among ready cases); claim re-checks the drain, so
+		// dispatch still stops deterministically.
 		select {
 		case j.svc.sem <- struct{}{}:
 			j.claim(idx)
 		case <-j.ctx.Done():
 		case <-j.svc.drain:
-			j.mu.Lock()
-			j.draining = true
-			j.mu.Unlock()
 		}
 	}
 }
@@ -864,9 +842,7 @@ func (j *job) run() {
 // queues and then see EOF. A drain-paused stream ends the same way; the
 // client reconnects after the restart and the snapshot marks resumption.
 func (j *job) finish() {
-	if j.span != nil {
-		j.span.End()
-	}
+	j.span.End()
 	j.svc.cfg.Flight.Capture(j.trace)
 	j.hub.close()
 }
@@ -898,9 +874,6 @@ func (j *job) sleepUntil(next time.Time) {
 	case <-t.C:
 	case <-j.ctx.Done():
 	case <-j.svc.drain:
-		j.mu.Lock()
-		j.draining = true
-		j.mu.Unlock()
 	}
 }
 
@@ -910,7 +883,7 @@ func (j *job) sleepUntil(next time.Time) {
 func (j *job) claim(idx int) {
 	j.mu.Lock()
 	it := &j.rec.Items[idx]
-	if it.State != ItemPending || j.rec.State.Terminal() || j.draining || j.svc.draining() || j.ctx.Err() != nil {
+	if it.State != ItemPending || j.rec.State.Terminal() || j.svc.draining() || j.ctx.Err() != nil {
 		j.mu.Unlock()
 		<-j.svc.sem
 		return
@@ -922,7 +895,7 @@ func (j *job) claim(idx int) {
 	ep := j.epoch[idx]
 	attempt := it.Attempts
 	j.inflight++
-	j.hub.publish(Event{Type: EventClaimed, Job: j.id, Item: it.Name,
+	j.emit(Event{Type: EventClaimed, Item: it.Name,
 		Index: idx, Attempt: attempt, Epoch: ep, Resumed: j.resumed})
 	j.checkpointLocked()
 	j.mu.Unlock()
@@ -997,7 +970,7 @@ func (j *job) heartbeat(idx int, ep uint64, sp *obs.Span, done <-chan struct{}) 
 		j.mu.Lock()
 		if j.epoch[idx] == ep && j.rec.Items[idx].State == ItemRunning {
 			j.rec.Items[idx].LeaseUntil = time.Now().Add(j.svc.cfg.LeaseTTL).UnixNano()
-			j.hub.publish(Event{Type: EventHeartbeat, Job: j.id,
+			j.emit(Event{Type: EventHeartbeat,
 				Item: j.rec.Items[idx].Name, Index: idx, Epoch: ep})
 			j.mu.Unlock()
 			if sp != nil {
@@ -1093,15 +1066,11 @@ func (j *job) report(idx int, ep uint64, res batch.Result) {
 	it.Input = res.Input.Hex()
 	if res.Cached {
 		j.rec.Hits++
-		j.svc.m.hits.Inc()
 	} else {
 		j.rec.Misses++
-		j.svc.m.misses.Inc()
 	}
-	j.svc.m.itemsDone.Inc()
-	cached := res.Cached
-	j.hub.publish(Event{Type: EventDone, Job: j.id, Item: it.Name,
+	j.emit(Event{Type: EventDone, Item: it.Name,
 		Index: idx, Attempt: it.Attempts, Epoch: ep,
-		Cached: &cached, Resumed: j.resumed})
+		Cached: &res.Cached, Resumed: j.resumed})
 	j.checkpointLocked()
 }
