@@ -6,6 +6,7 @@
 package tdmagic
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -49,6 +50,24 @@ func benchSetup(b *testing.B) (*core.Pipeline, []*dataset.Sample, []*dataset.Sam
 	return benchPipe, benchVal, benchCorpus
 }
 
+// ocrScores scores exact-string OCR over in-memory samples.
+func ocrScores(b *testing.B, pipe *core.Pipeline, samples []*dataset.Sample) *eval.OCRValResult {
+	res, err := eval.TableIIIRun(pipe, eval.SliceCorpus(samples))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+// overallScores scores Sec. VI.3's SPO extraction over an in-memory corpus.
+func overallScores(b *testing.B, pipe *core.Pipeline, corpus []*dataset.Sample) *eval.OverallResult {
+	res, err := eval.OverallRun(pipe, eval.SliceCorpus(corpus), eval.RunOpts{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkTableI_EdgeDetectionValidation regenerates Table I: edge
 // detection accuracy on held-out synthetic pictures. Paper: P 0.999, R 1,
 // mAP@.5 0.995, mAP@.5:.95 0.995.
@@ -73,7 +92,7 @@ func BenchmarkOCRSyntheticValidation(b *testing.B) {
 	var res *eval.OCRValResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res = eval.OCRSynthetic(pipe, val)
+		res = ocrScores(b, pipe, val)
 	}
 	b.ReportMetric(res.Accuracy[dataset.RoleSignalName], "acc-name")
 	b.ReportMetric(res.Accuracy[dataset.RoleSignalValue], "acc-value")
@@ -106,7 +125,10 @@ func BenchmarkTableII_ExtrapolationDetection(b *testing.B) {
 	var res *eval.TableIIResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res = eval.TableII(pipe, corpus)
+		var err error
+		if res, err = eval.TableIIRun(pipe, eval.SliceCorpus(corpus), eval.RunOpts{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	for _, row := range res.Rows {
 		b.ReportMetric(row.P, "P-"+row.Name)
@@ -121,7 +143,7 @@ func BenchmarkTableIII_ExtrapolationOCR(b *testing.B) {
 	var res *eval.OCRValResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res = eval.TableIII(pipe, corpus)
+		res = ocrScores(b, pipe, corpus)
 	}
 	b.ReportMetric(res.Accuracy[dataset.RoleSignalName], "acc-name")
 	b.ReportMetric(res.Accuracy[dataset.RoleSignalValue], "acc-value")
@@ -135,7 +157,7 @@ func BenchmarkOverallPipelineExtrapolation(b *testing.B) {
 	var res *eval.OverallResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res = eval.Overall(pipe, corpus)
+		res = overallScores(b, pipe, corpus)
 	}
 	b.ReportMetric(100*float64(res.TemplateLevel)/float64(res.Total), "template-pct")
 	b.ReportMetric(100*float64(res.TotallyOK)/float64(res.Total), "total-pct")
@@ -336,7 +358,7 @@ func BenchmarkAblationArrowExpand(b *testing.B) {
 	run := func(expand int) float64 {
 		p := *pipe
 		p.SEICfg.Expand = expand
-		res := eval.Overall(&p, corpus)
+		res := overallScores(b, &p, corpus)
 		return 100 * float64(res.TemplateLevel) / float64(res.Total)
 	}
 	var with, without float64
@@ -356,7 +378,7 @@ func BenchmarkAblationDashBridging(b *testing.B) {
 	run := func(cfg lad.Config) float64 {
 		p := *pipe
 		p.LADCfg = cfg
-		res := eval.Overall(&p, corpus)
+		res := overallScores(b, &p, corpus)
 		return 100 * float64(res.TemplateLevel) / float64(res.Total)
 	}
 	noBridge := pipe.LADCfg
@@ -385,8 +407,8 @@ func BenchmarkAblationTrainingMix(b *testing.B) {
 	var mixed, only float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mixed = 100 * float64(eval.Overall(benchPipe, corpus).TemplateLevel) / 30
-		only = 100 * float64(eval.Overall(pipeG1, corpus).TemplateLevel) / 30
+		mixed = 100 * float64(overallScores(b, benchPipe, corpus).TemplateLevel) / 30
+		only = 100 * float64(overallScores(b, pipeG1, corpus).TemplateLevel) / 30
 	}
 	b.ReportMetric(mixed, "template-pct-g123")
 	b.ReportMetric(only, "template-pct-g1only")
@@ -402,8 +424,8 @@ func BenchmarkAblationOCRLexicon(b *testing.B) {
 	var with, without float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		with = 100 * float64(eval.Overall(pipe, corpus).TotallyOK) / 30
-		without = 100 * float64(eval.Overall(&bare, corpus).TotallyOK) / 30
+		with = 100 * float64(overallScores(b, pipe, corpus).TotallyOK) / 30
+		without = 100 * float64(overallScores(b, &bare, corpus).TotallyOK) / 30
 	}
 	b.ReportMetric(with, "total-pct-lexicon")
 	b.ReportMetric(without, "total-pct-nolexicon")
@@ -476,7 +498,7 @@ func BenchmarkBatchTranslateThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pipe.TranslateAll(imgs, 0)
+		pipe.TranslateAllCtx(context.Background(), imgs, core.BatchOptions{})
 	}
 	b.ReportMetric(float64(len(imgs)), "pictures/op")
 }

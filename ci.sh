@@ -16,6 +16,10 @@
 #                     identical tp/fp/fn under any permutation of the
 #                     detection/ground-truth lists (run again explicitly so
 #                     a -run filter in step 4 can never silently skip it)
+#   5a. tables golden: tdeval's default stdout (every table, overall,
+#                     scale and noise) must equal cmd/tdeval/testdata/
+#                     tables.golden, and the corruption sweep's JSON must
+#                     equal the committed BENCH_03.json byte for byte
 #   5b. zero-alloc guards: the disabled-observability paths (nil trace,
 #                     nil flight recorder, tracing-off translate hot path)
 #                     must stay at exactly zero allocations per operation;
@@ -92,6 +96,22 @@ go test -race ./...
 go -C tdbench vet .
 go -C tdbench test .
 go test -run 'TestMatchPermutationInvariance|TestMatchNearestWins|TestMatchShortSegmentThreshold' -count 1 ./internal/eval
+
+tmp=$(mktemp -d)
+serve_pid=""
+cleanup() {
+	[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true
+	rm -rf "$tmp"
+}
+trap cleanup EXIT
+
+# --- tables golden ---------------------------------------------------------
+# tdeval's stdout is deterministic (the training timer goes to stderr).
+go build -o "$tmp/tdeval" ./cmd/tdeval
+"$tmp/tdeval" 2>/dev/null | diff cmd/tdeval/testdata/tables.golden -
+"$tmp/tdeval" -robustness -robustout "$tmp/sweep.json" >/dev/null 2>&1
+cmp BENCH_03.json "$tmp/sweep.json"
+
 go test -run 'TestNilTraceZeroAlloc|TestNilRecorderZeroAlloc' -count 1 ./internal/obs
 go test -run 'TestDisabledTracingZeroAllocOnHotPath' -count 1 ./internal/core
 go test -run '^FuzzParse$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/vcd
@@ -144,14 +164,6 @@ if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
 fi
 
 # --- serve smoke -----------------------------------------------------------
-tmp=$(mktemp -d)
-serve_pid=""
-cleanup() {
-	[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true
-	rm -rf "$tmp"
-}
-trap cleanup EXIT
-
 go build -o "$tmp/tdtrain" ./cmd/tdtrain
 go build -o "$tmp/tdrender" ./cmd/tdrender
 go build -o "$tmp/tdserve" ./cmd/tdserve

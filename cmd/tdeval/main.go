@@ -2,12 +2,13 @@
 // (Sec. VI): Table I (edge detection on synthetic validation data), the OCR
 // synthetic validation, the extrapolation-corpus statistics, Table II
 // (object detection in extrapolation), Table III (OCR in extrapolation) and
-// the overall SPO-extraction performance.
+// the overall SPO-extraction performance, plus two extensions beyond the
+// paper: resolution (scale) and scanner-noise (noise) robustness.
 //
 // Usage:
 //
 //	tdeval                      # run everything
-//	tdeval -table 2             # one table: 1, ocr-synth, stats, 2, 3, overall
+//	tdeval -table 2             # one table: 1, ocr-synth, stats, 2, 3, overall, noise, scale
 //	tdeval -table overall -verbose
 //	tdeval -g1 128 -g2 64 -g3 48  # larger training mix
 //	tdeval -robustness -robustout BENCH_03.json  # corruption sweep
@@ -159,7 +160,11 @@ func main() {
 			fmt.Println()
 		}
 		if run("ocr-synth") {
-			eval.OCRSynthetic(pipe, val).Print(os.Stdout, "OCR validation accuracy on synthetic data (Sec. VI text)")
+			res, err := eval.TableIIIRun(pipe, eval.SliceCorpus(val))
+			if err != nil {
+				log.Fatal(err)
+			}
+			res.Print(os.Stdout, "OCR validation accuracy on synthetic data (Sec. VI text)")
 			fmt.Println()
 		}
 	}

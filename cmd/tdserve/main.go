@@ -9,7 +9,8 @@
 // Endpoints:
 //
 //	POST /v1/translate        one PNG body -> SPO JSON + diagnostics
-//	POST /v1/translate/batch  multipart/form-data PNG parts -> JSON array
+//	POST /v1/translate/batch  multipart/form-data PNG parts -> {"results": [...]},
+//	                          one entry per part
 //	POST /v1/verify           TD picture (or cached ref) + delays + VCD dump
 //	                          -> NDJSON stream of per-constraint verdicts
 //	POST   /v1/jobs              durable async job (with -jobs; multipart or manifest)

@@ -97,12 +97,8 @@ type Result struct {
 	// store: a store hit, or a translation whose Put succeeded.
 	Stored bool
 	// Input is the canonical content hash of the picture (zero when the
-	// item failed before hashing or a custom Do handled it).
+	// item failed before hashing).
 	Input store.Hash
-	// Aux carries a consumer-specific payload attached by a custom Do
-	// (tdserve rides its per-item HTTP result through here); the default
-	// item path leaves it nil.
-	Aux any
 }
 
 // Stats summarises a run.
@@ -126,18 +122,13 @@ type Options struct {
 	// PersistReport stores perception detections in each artifact (and
 	// refuses to hit on artifacts that lack them), for scoring consumers.
 	PersistReport bool
-	// Do, when non-nil, replaces the whole per-item path — hash, store
-	// lookup, translate, persist — and the executor contributes only the
-	// streaming, bounded fan-out and ordered emission. tdserve uses it to
-	// route batch items through its own admission gate and LRU.
-	Do func(ctx context.Context, it Item) Result
 }
 
-// FaultHook, when non-nil, runs at the start of every item processed
-// through the default path of Process; a non-nil return fails the item as
-// if preparation had failed. It is a build-tag-free fault-injection seam
-// for the robustness tests (decode errors, flaky sources) and must only
-// be set before any executor is running.
+// FaultHook, when non-nil, runs at the start of every item processed by
+// Process; a non-nil return fails the item as if preparation had failed.
+// It is a build-tag-free fault-injection seam for the robustness tests
+// (decode errors, flaky sources) and must only be set before any executor
+// is running.
 var FaultHook func(it Item) error
 
 // Run pulls items from src, processes them on a bounded worker pool and
@@ -149,7 +140,7 @@ var FaultHook func(it Item) error
 func Run(ctx context.Context, pipe *core.Pipeline, src Source, opts Options, emit func(Result) error) (Stats, error) {
 	workers := parallel.Resolve(opts.Workers)
 	var stats Stats
-	if opts.Store != nil && opts.Config.IsZero() && opts.Do == nil {
+	if opts.Store != nil && opts.Config.IsZero() {
 		return stats, errors.New("batch: Options.Store set without Options.Config")
 	}
 
@@ -264,11 +255,6 @@ func Run(ctx context.Context, pipe *core.Pipeline, src Source, opts Options, emi
 // execution surfaces share one store discipline (alias index, hit
 // validation, atomic persist, errors never stored).
 func Process(ctx context.Context, pipe *core.Pipeline, it Item, opts Options) Result {
-	if opts.Do != nil {
-		r := opts.Do(ctx, it)
-		r.Index, r.Name = it.Index, it.Name
-		return r
-	}
 	r := Result{Index: it.Index, Name: it.Name}
 	if it.Err != nil {
 		r.Err = it.Err

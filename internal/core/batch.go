@@ -34,21 +34,18 @@ type BatchOptions struct {
 // regression tests.
 var batchHook func(index int)
 
-// TranslateAll translates many pictures concurrently, fanning the work out
-// over workers goroutines (default: GOMAXPROCS). The pipeline is
-// read-only during translation, so a single trained instance serves all
-// workers. Results are returned in input order.
-func (p *Pipeline) TranslateAll(imgs []*imgproc.Gray, workers int) []BatchResult {
-	return p.TranslateAllCtx(context.Background(), imgs, BatchOptions{Workers: workers})
-}
-
-// TranslateAllCtx is TranslateAll with per-item fault isolation: a panic
-// inside one picture's translation is recovered into that picture's
-// BatchResult.Err (with the stack), and opts.Timeout bounds each
-// picture's wall-clock via cooperative cancellation in the perception
-// stages — one pathological picture can neither hang nor kill the batch.
-// Cancelling ctx stops the whole batch; unstarted items report ctx's
-// error. A one-worker call runs inline on the caller's goroutine.
+// TranslateAllCtx translates pictures concurrently over opts.Workers
+// goroutines (default: GOMAXPROCS), returning results in input order. The
+// pipeline is read-only during translation, so a single trained instance
+// serves all workers. Each item is fault-isolated: a panic inside one
+// picture's translation is recovered into that picture's BatchResult.Err
+// (with the stack), and opts.Timeout bounds each picture's wall-clock via
+// cooperative cancellation in the perception stages — one pathological
+// picture can neither hang nor kill the batch. Cancelling ctx stops the
+// whole batch; unstarted items report ctx's error. A one-worker call runs
+// inline on the caller's goroutine; batch.Resolver makes exactly that
+// call for every picture the corpus executor, tdserve and the job
+// service translate.
 func (p *Pipeline) TranslateAllCtx(ctx context.Context, imgs []*imgproc.Gray, opts BatchOptions) []BatchResult {
 	results := make([]BatchResult, len(imgs))
 	parallel.For(opts.Workers, len(imgs), func(i int) {

@@ -28,7 +28,7 @@ func TestBatchPanicRecovery(t *testing.T) {
 	}
 	defer func() { batchHook = nil }()
 
-	results := pipe.TranslateAll(imgs, 3)
+	results := pipe.TranslateAllCtx(context.Background(), imgs, BatchOptions{Workers: 3})
 	if len(results) != len(imgs) {
 		t.Fatalf("got %d results for %d pictures", len(results), len(imgs))
 	}

@@ -27,10 +27,10 @@ import (
 // Pipeline is a trained TD-Magic instance.
 //
 // A Pipeline is safe for concurrent use: once trained (or loaded), every
-// translation entry point — Translate, TranslateContext, TranslateAll,
-// TranslateAllCtx, TranslateWithEdges, Analyze — only reads the model
-// state, and the per-call scratch buffers in the SED and OCR models are
-// pooled per goroutine (sync.Pool), so one shared instance serves any
+// translation entry point — Translate, TranslateContext, TranslateAllCtx,
+// TranslateWithEdges, Analyze — only reads the model state, and the
+// per-call scratch buffers in the SED and OCR models are pooled per
+// goroutine (sync.Pool), so one shared instance serves any
 // number of concurrent callers. This is the contract the tdserve worker
 // pool and the batch path rely on; TestConcurrentTranslateShared pins it
 // under the race detector. The mutable knobs (Strict, Metrics,
@@ -58,7 +58,7 @@ type Pipeline struct {
 	// many goroutines. Output is bit-identical for any value. Interactive
 	// single-image callers should set it negative to saturate the machine;
 	// batch surfaces that already run one picture per worker (tdserve,
-	// tdeval, TranslateAll) should leave it at 0 — inner and outer
+	// tdeval, TranslateAllCtx) should leave it at 0 — inner and outer
 	// parallelism multiply. Like the other knobs it must be set before the
 	// pipeline is shared.
 	IntraWorkers int

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -207,7 +208,7 @@ func TestTranslateAllMatchesSequential(t *testing.T) {
 	for i, s := range val {
 		imgs[i] = s.Image
 	}
-	batch := pipe.TranslateAll(imgs, 3)
+	batch := pipe.TranslateAllCtx(context.Background(), imgs, BatchOptions{Workers: 3})
 	if len(batch) != len(val) {
 		t.Fatalf("batch size %d", len(batch))
 	}
@@ -225,10 +226,10 @@ func TestTranslateAllMatchesSequential(t *testing.T) {
 		}
 	}
 	// Degenerate worker counts.
-	if got := pipe.TranslateAll(imgs[:1], 0); len(got) != 1 {
+	if got := pipe.TranslateAllCtx(context.Background(), imgs[:1], BatchOptions{}); len(got) != 1 {
 		t.Error("workers=0 wrong")
 	}
-	if got := pipe.TranslateAll(nil, 4); len(got) != 0 {
+	if got := pipe.TranslateAllCtx(context.Background(), nil, BatchOptions{Workers: 4}); len(got) != 0 {
 		t.Error("empty batch wrong")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -90,7 +91,7 @@ func TestBatchDegenerateMix(t *testing.T) {
 	// neighbours, trained pipeline or not.
 	pipe, val := trainSmall(t)
 	imgs := []*imgproc.Gray{val[0].Image, imgproc.NewGray(2, 2), val[1].Image, nil}
-	results := pipe.TranslateAll(imgs, 2)
+	results := pipe.TranslateAllCtx(context.Background(), imgs, BatchOptions{Workers: 2})
 	for _, i := range []int{0, 2} {
 		if results[i].Err != nil {
 			t.Errorf("healthy picture %d failed: %v", i, results[i].Err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -11,7 +12,7 @@ import (
 	"tdmagic/internal/imgproc"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden TranslateAll fixture")
+var updateGolden = flag.Bool("update", false, "rewrite the golden TranslateAllCtx fixture")
 
 // goldenPath is the recorded fixed-seed end-to-end output. It was captured
 // on the reference []bool Binary implementation; the bit-packed kernels must
@@ -20,7 +21,7 @@ const goldenPath = "testdata/translate_all_golden.txt"
 
 // goldenString renders the batch results of the fixed trainSmall validation
 // set in a canonical text form: one block per picture with the SPO spec text
-// (or the error), exactly as produced by TranslateAll.
+// (or the error), exactly as produced by TranslateAllCtx.
 func goldenString(results []BatchResult, names []string) string {
 	var b strings.Builder
 	for i, r := range results {
@@ -46,7 +47,7 @@ func TestTranslateAllGolden(t *testing.T) {
 		imgs[i] = s.Image
 		names[i] = s.Name
 	}
-	got := goldenString(pipe.TranslateAll(imgs, 0), names)
+	got := goldenString(pipe.TranslateAllCtx(context.Background(), imgs, BatchOptions{}), names)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
@@ -62,6 +63,6 @@ func TestTranslateAllGolden(t *testing.T) {
 		t.Fatalf("golden fixture missing (run with -update to record): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("TranslateAll output drifted from golden fixture:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		t.Errorf("TranslateAllCtx output drifted from golden fixture:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }

@@ -35,7 +35,7 @@ func TestPipelineMetricsRecording(t *testing.T) {
 
 	// A batch over the same pictures adds to the same counters.
 	imgs := []*imgproc.Gray{val[0].Image, val[1].Image}
-	pipe.TranslateAll(imgs, 2)
+	pipe.TranslateAllCtx(context.Background(), imgs, BatchOptions{Workers: 2})
 	if got := pipe.Metrics.Translations.Value(); got != 4 {
 		t.Errorf("translations after batch = %d, want 4", got)
 	}

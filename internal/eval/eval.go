@@ -16,7 +16,6 @@ import (
 	"tdmagic/internal/dataset"
 	"tdmagic/internal/detect"
 	"tdmagic/internal/geom"
-	"tdmagic/internal/imgproc"
 	"tdmagic/internal/industrial"
 	"tdmagic/internal/lad"
 	"tdmagic/internal/spo"
@@ -165,44 +164,13 @@ func (r *TableIResult) Print(w io.Writer) {
 	}
 }
 
-// OCRValResult holds experiment E2: OCR accuracy on held-out synthetic
-// pictures, split by text role.
+// OCRValResult holds the OCR experiments, split by text role: E2 on
+// held-out synthetic pictures (the paper reports 1.0 for both PaddleOCR
+// tasks) and E5 (Table III) on the industrial corpus. TableIIIRun
+// measures both.
 type OCRValResult struct {
 	Accuracy map[dataset.TextRole]float64
 	Counts   map[dataset.TextRole]int
-}
-
-// OCRSynthetic measures exact-string OCR accuracy on synthetic validation
-// pictures (the paper reports 1.0 for both PaddleOCR tasks).
-func OCRSynthetic(pipe *core.Pipeline, val []*dataset.Sample) *OCRValResult {
-	return ocrAccuracy(pipe, val)
-}
-
-// ocrAccuracy scores exact-match text recognition against ground truth.
-func ocrAccuracy(pipe *core.Pipeline, samples []*dataset.Sample) *OCRValResult {
-	correct := map[dataset.TextRole]int{}
-	total := map[dataset.TextRole]int{}
-	for _, s := range samples {
-		bw := imgproc.Threshold(s.Image, imgproc.OtsuThreshold(s.Image))
-		lines := lad.DetectBinary(bw, pipe.LADCfg)
-		results := pipe.OCR.ReadAll(bw, lines, pipe.OCRCfg)
-		for _, gt := range s.Texts {
-			total[gt.Role]++
-			for _, r := range results {
-				if r.Box.IoU(gt.Box) >= 0.3 && r.Text == gt.Text {
-					correct[gt.Role]++
-					break
-				}
-			}
-		}
-	}
-	res := &OCRValResult{Accuracy: map[dataset.TextRole]float64{}, Counts: total}
-	for role, n := range total {
-		if n > 0 {
-			res.Accuracy[role] = float64(correct[role]) / float64(n)
-		}
-	}
-	return res
 }
 
 // Print writes the OCR result as a Table III style row set.
@@ -256,21 +224,6 @@ type TableIIRow struct {
 // TableIIResult holds experiment E4.
 type TableIIResult struct {
 	Rows []TableIIRow
-}
-
-// TableII runs the object-detection extrapolation experiment: the trained
-// pipeline's edges, V-lines, H-lines and arrows scored against the
-// industrial corpus ground truth. It is a compatibility wrapper over the
-// streaming TableIIRun, whose scoring accumulates at the ordered emit and
-// is therefore bit-identical to the historical sequential loop.
-func TableII(pipe *core.Pipeline, corpus []*dataset.Sample) *TableIIResult {
-	// The in-memory corpus can neither fail to load nor abort the run, so
-	// the runner's error path is unreachable here.
-	res, err := TableIIRun(pipe, SliceCorpus(corpus), RunOpts{})
-	if err != nil {
-		panic(err)
-	}
-	return res
 }
 
 // Print writes Table II in the paper's format.
@@ -426,11 +379,6 @@ func overlap1D(a0, a1, b0, b1 int) int {
 	return hi - lo + 1
 }
 
-// TableIII runs the OCR extrapolation experiment (paper Table III).
-func TableIII(pipe *core.Pipeline, corpus []*dataset.Sample) *OCRValResult {
-	return ocrAccuracy(pipe, corpus)
-}
-
 // OverallResult holds experiment E6: Sec. VI.3's overall performance.
 type OverallResult struct {
 	Total         int
@@ -451,20 +399,6 @@ type SampleOutcome struct {
 	Recall   float64
 	Err      error
 	Got      *spo.SPO
-}
-
-// Overall runs the full pipeline over the corpus and scores SPO extraction
-// at the template and total level. It is a compatibility wrapper over the
-// streaming OverallRun; results are bit-identical to the historical
-// sequential loop for any worker count.
-func Overall(pipe *core.Pipeline, corpus []*dataset.Sample) *OverallResult {
-	// The in-memory corpus can neither fail to load nor abort the run, so
-	// the runner's error path is unreachable here.
-	res, err := OverallRun(pipe, SliceCorpus(corpus), RunOpts{})
-	if err != nil {
-		panic(err)
-	}
-	return res
 }
 
 // Print writes the overall-performance summary (Sec. VI.3 numbers).

@@ -2,12 +2,14 @@ package eval
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 
 	"tdmagic/internal/core"
 	"tdmagic/internal/dataset"
+	"tdmagic/internal/tdgen"
 )
 
 // Small, shared pipeline so the suite trains once.
@@ -92,7 +94,10 @@ func TestTableIShape(t *testing.T) {
 
 func TestOCRSyntheticHigh(t *testing.T) {
 	pipe, val := setup(t)
-	res := OCRSynthetic(pipe, val)
+	res, err := TableIIIRun(pipe, SliceCorpus(val))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for role, acc := range res.Accuracy {
 		if acc < 0.8 {
 			t.Errorf("synthetic OCR accuracy for %v = %.3f, want >= 0.8", role, acc)
@@ -126,7 +131,10 @@ func TestTableIIAndOverall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2 := TableII(pipe, corpus)
+	t2, err := TableIIRun(pipe, SliceCorpus(corpus), RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(t2.Rows) != 8 { // 5 edges + V-line + H-line + arrow
 		t.Fatalf("Table II rows = %d", len(t2.Rows))
 	}
@@ -148,7 +156,10 @@ func TestTableIIAndOverall(t *testing.T) {
 		t.Error("Table II printout wrong")
 	}
 
-	overall := Overall(pipe, corpus)
+	overall, err := OverallRun(pipe, SliceCorpus(corpus), RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if overall.Total != 30 {
 		t.Fatalf("overall total = %d", overall.Total)
 	}
@@ -174,7 +185,10 @@ func TestTableIIIRoles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := TableIII(pipe, corpus)
+	res, err := TableIIIRun(pipe, SliceCorpus(corpus))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Counts[dataset.RoleSignalName] != 59 {
 		t.Errorf("signal-name count = %d, want 59", res.Counts[dataset.RoleSignalName])
 	}
@@ -217,9 +231,14 @@ func TestIndent(t *testing.T) {
 	}
 }
 
+// TestNoiseRobustness checks the noise sweep's shape and requires every
+// point to equal a plain sequential Translate loop over the same pictures
+// exactly, the way TestSweepCleanMatchesDirectPath checks the sweep.
 func TestNoiseRobustness(t *testing.T) {
 	pipe, _ := setup(t)
-	res, err := NoiseRobustness(pipe, 500, 6, []int{0, 2000})
+	const seed, n = 500, 6
+	levels := []int{0, 2000}
+	res, err := NoiseRobustness(pipe, seed, n, levels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,6 +252,47 @@ func TestNoiseRobustness(t *testing.T) {
 	if noisy.EdgeRecall > clean.EdgeRecall+1e-9 {
 		t.Errorf("noise should not improve recall: %.3f vs %.3f", noisy.EdgeRecall, clean.EdgeRecall)
 	}
+	for i, dots := range levels {
+		g := tdgen.New(tdgen.DefaultConfig(tdgen.G1), rand.New(rand.NewSource(seed)))
+		samples, err := g.GenerateN(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tmpl, total, edgesFound, edgesAll int
+		for j, s := range samples {
+			img := s.Image.Clone()
+			rng := rand.New(rand.NewSource(seed + int64(j)))
+			for k := 0; k < dots; k++ {
+				img.Set(rng.Intn(img.W), rng.Intn(img.H), 0)
+			}
+			got, rep, err := pipe.Translate(img)
+			edgesAll += len(s.Edges)
+			if rep != nil {
+				for _, gt := range s.Edges {
+					for _, d := range rep.Edges {
+						if d.Box.IoU(gt.Box) >= 0.5 && d.Type == gt.Type {
+							edgesFound++
+							break
+						}
+					}
+				}
+			}
+			if err != nil {
+				continue
+			}
+			if got.TemplateEqual(s.Truth) {
+				tmpl++
+			}
+			if got.TotalEqual(s.Truth) {
+				total++
+			}
+		}
+		want := RobustnessPoint{NoiseDots: dots, TemplateLevel: float64(tmpl) / n,
+			TotallyOK: float64(total) / n, EdgeRecall: float64(edgesFound) / float64(edgesAll)}
+		if res.Points[i] != want {
+			t.Errorf("noise %d: batch-backed point %+v != direct path %+v", dots, res.Points[i], want)
+		}
+	}
 	var buf bytes.Buffer
 	res.Print(&buf)
 	if !strings.Contains(buf.String(), "Noise robustness") {
@@ -240,18 +300,39 @@ func TestNoiseRobustness(t *testing.T) {
 	}
 }
 
+// TestScaleRobustness checks the resolution sweep's shape and requires
+// every point to equal a plain sequential Translate loop exactly.
 func TestScaleRobustness(t *testing.T) {
 	pipe, _ := setup(t)
 	_, corpus, err := CorpusStats(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := ScaleRobustness(pipe, corpus[:8], []float64{1.0, 0.7})
+	corpus = corpus[:8]
+	scales := []float64{1.0, 0.7}
+	res := ScaleRobustness(pipe, corpus, scales)
 	if len(res.Points) != 2 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
 	if res.Points[0].TemplateLevel < res.Points[1].TemplateLevel {
 		t.Logf("note: downscaling unexpectedly improved template level: %+v", res.Points)
+	}
+	for i, sc := range scales {
+		var tmpl int
+		for _, s := range corpus {
+			img := s.Image
+			if sc != 1.0 {
+				img = img.ScaleTo(int(float64(img.W)*sc+0.5), int(float64(img.H)*sc+0.5))
+			}
+			got, _, err := pipe.Translate(img)
+			if err == nil && got.TemplateEqual(s.Truth) {
+				tmpl++
+			}
+		}
+		want := ScalePoint{Scale: sc, TemplateLevel: float64(tmpl) / float64(len(corpus))}
+		if res.Points[i] != want {
+			t.Errorf("scale %.2f: batch-backed point %+v != direct path %+v", sc, res.Points[i], want)
+		}
 	}
 	var buf bytes.Buffer
 	res.Print(&buf)

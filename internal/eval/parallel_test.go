@@ -1,9 +1,11 @@
 package eval
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
+	"tdmagic/internal/core"
 	"tdmagic/internal/imgproc"
 )
 
@@ -64,7 +66,7 @@ func TestTrainPipelineWorkerCountInvariant(t *testing.T) {
 		t.Error("OCR templates differ between worker counts")
 	}
 	// And the trained pipelines must translate validation pictures to the
-	// same SPOs regardless of TranslateAll's worker count.
+	// same SPOs regardless of TranslateAllCtx's worker count.
 	val, err := GenValidationSet(smallOpts(1))
 	if err != nil {
 		t.Fatal(err)
@@ -73,14 +75,14 @@ func TestTrainPipelineWorkerCountInvariant(t *testing.T) {
 	for i, s := range val {
 		imgs[i] = s.Image
 	}
-	seq := base.TranslateAll(imgs, 1)
-	par := got.TranslateAll(imgs, 8)
+	seq := base.TranslateAllCtx(context.Background(), imgs, core.BatchOptions{Workers: 1})
+	par := got.TranslateAllCtx(context.Background(), imgs, core.BatchOptions{Workers: 8})
 	for i := range seq {
 		if (seq[i].Err == nil) != (par[i].Err == nil) {
 			t.Fatalf("%s: error mismatch %v vs %v", val[i].Name, seq[i].Err, par[i].Err)
 		}
 		if seq[i].Err == nil && !seq[i].SPO.TotalEqual(par[i].SPO) {
-			t.Errorf("%s: TranslateAll SPO differs between workers=1 and workers=8", val[i].Name)
+			t.Errorf("%s: TranslateAllCtx SPO differs between workers=1 and workers=8", val[i].Name)
 		}
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"io"
 	"math/rand"
 
+	"tdmagic/internal/batch"
 	"tdmagic/internal/core"
 	"tdmagic/internal/dataset"
+	"tdmagic/internal/imgproc"
 	"tdmagic/internal/tdgen"
 )
 
@@ -27,65 +29,33 @@ type RobustnessResult struct {
 
 // NoiseRobustness sweeps scanner-noise levels over freshly generated
 // synthetic diagrams and measures how SPO extraction degrades. n diagrams
-// are generated per level with the given seed stream.
+// are generated with the given seed stream and re-translated at every
+// level.
 func NoiseRobustness(pipe *core.Pipeline, seed int64, n int, noiseLevels []int) (*RobustnessResult, error) {
+	g := tdgen.New(tdgen.DefaultConfig(tdgen.G1), rand.New(rand.NewSource(seed)))
+	samples, err := g.GenerateN(n)
+	if err != nil {
+		return nil, err
+	}
 	res := &RobustnessResult{}
 	for _, dots := range noiseLevels {
-		cfg := tdgen.DefaultConfig(tdgen.G1)
-		g := tdgen.New(cfg, rand.New(rand.NewSource(seed)))
-		samples, err := g.GenerateN(n)
-		if err != nil {
-			return nil, err
-		}
-		var tmpl, total int
-		var edgesFound, edgesAll int
-		for i, s := range samples {
-			noisy := s
+		cell := scoreCell(pipe, samples, batch.Options{}, nil, func(i int) *imgproc.Gray {
+			img := samples[i].Image
 			if dots > 0 {
 				// Re-render the same diagram with noise by overlaying
 				// specks on a copy of the picture: equivalent to the
 				// renderer's NoiseDots and much cheaper than re-running
 				// layout sampling.
-				img := s.Image.Clone()
+				img = img.Clone()
 				rng := rand.New(rand.NewSource(seed + int64(i)))
 				for k := 0; k < dots; k++ {
 					img.Set(rng.Intn(img.W), rng.Intn(img.H), 0)
 				}
-				cp := *s
-				cp.Image = img
-				noisy = &cp
 			}
-			got, rep, err := pipe.Translate(noisy.Image)
-			edgesAll += len(s.Edges)
-			if rep != nil {
-				for _, gt := range s.Edges {
-					for _, d := range rep.Edges {
-						if d.Box.IoU(gt.Box) >= 0.5 && d.Type == gt.Type {
-							edgesFound++
-							break
-						}
-					}
-				}
-			}
-			if err != nil {
-				continue
-			}
-			if got.TemplateEqual(s.Truth) {
-				tmpl++
-			}
-			if got.TotalEqual(s.Truth) {
-				total++
-			}
-		}
-		pt := RobustnessPoint{NoiseDots: dots}
-		if n > 0 {
-			pt.TemplateLevel = float64(tmpl) / float64(n)
-			pt.TotallyOK = float64(total) / float64(n)
-		}
-		if edgesAll > 0 {
-			pt.EdgeRecall = float64(edgesFound) / float64(edgesAll)
-		}
-		res.Points = append(res.Points, pt)
+			return img
+		})
+		res.Points = append(res.Points, RobustnessPoint{NoiseDots: dots,
+			TemplateLevel: cell.Template, TotallyOK: cell.Total, EdgeRecall: cell.EdgeRecall})
 	}
 	return res, nil
 }
@@ -107,24 +77,14 @@ func (r *RobustnessResult) Print(w io.Writer) {
 func ScaleRobustness(pipe *core.Pipeline, corpus []*dataset.Sample, scales []float64) *ScaleResult {
 	res := &ScaleResult{}
 	for _, sc := range scales {
-		var tmpl int
-		for _, s := range corpus {
-			img := s.Image
+		cell := scoreCell(pipe, corpus, batch.Options{}, nil, func(i int) *imgproc.Gray {
+			img := corpus[i].Image
 			if sc != 1.0 {
 				img = img.ScaleTo(int(float64(img.W)*sc+0.5), int(float64(img.H)*sc+0.5))
 			}
-			got, _, err := pipe.Translate(img)
-			if err != nil {
-				continue
-			}
-			if got.TemplateEqual(s.Truth) {
-				tmpl++
-			}
-		}
-		res.Points = append(res.Points, ScalePoint{
-			Scale:         sc,
-			TemplateLevel: float64(tmpl) / float64(len(corpus)),
+			return img
 		})
+		res.Points = append(res.Points, ScalePoint{Scale: sc, TemplateLevel: cell.Template})
 	}
 	return res
 }

@@ -122,10 +122,12 @@ func (o RunOpts) batchOptions(pipe *core.Pipeline, persistReport bool) batch.Opt
 	return opts
 }
 
-// OverallRun is Overall on a streaming corpus: translation fans out over
-// the batch engine (cache-aware when a store is attached) while scoring
-// accumulates at the ordered emit, so the metrics are bit-identical to the
-// sequential path for any worker count.
+// OverallRun measures Sec. VI.3's overall performance: it runs the full
+// pipeline over the corpus and scores SPO extraction at the template and
+// total level. Translation fans out over the batch engine (cache-aware
+// when a store is attached) while scoring accumulates at the ordered emit,
+// so the metrics are bit-identical to a sequential loop for any worker
+// count.
 func OverallRun(pipe *core.Pipeline, c Corpus, opts RunOpts) (*OverallResult, error) {
 	res := &OverallResult{Total: c.N}
 	var partials []float64
@@ -174,10 +176,12 @@ func OverallRun(pipe *core.Pipeline, c Corpus, opts RunOpts) (*OverallResult, er
 	return res, nil
 }
 
-// TableIIRun is TableII on a streaming corpus. Detections and tallies
+// TableIIRun runs the object-detection extrapolation experiment (paper
+// Table II): the trained pipeline's edges, V-lines, H-lines and arrows
+// scored against the corpus ground truth. Detections and tallies
 // accumulate in input order at the emit callback, so the matching — which
-// is already input-order independent — sees exactly the sequence the
-// sequential path builds.
+// is already input-order independent — sees exactly the sequence a
+// sequential loop builds.
 func TableIIRun(pipe *core.Pipeline, c Corpus, opts RunOpts) (*TableIIResult, error) {
 	var dets []detect.Detection
 	var gts []detect.GroundTruth
@@ -261,8 +265,9 @@ func TableIIRun(pipe *core.Pipeline, c Corpus, opts RunOpts) (*TableIIResult, er
 	return res, nil
 }
 
-// TableIIIRun is TableIII on a streaming corpus: pure OCR scoring, one
-// sample resident at a time.
+// TableIIIRun measures exact-string OCR accuracy against ground truth
+// (paper Table III on the industrial corpus, the Sec. VI OCR validation on
+// synthetic pictures): pure OCR scoring, one sample resident at a time.
 func TableIIIRun(pipe *core.Pipeline, c Corpus) (*OCRValResult, error) {
 	correct := map[dataset.TextRole]int{}
 	total := map[dataset.TextRole]int{}

@@ -148,24 +148,40 @@ func RobustnessSweep(pipe *core.Pipeline, synth, corpus []*dataset.Sample, opts 
 	return res, nil
 }
 
-// sweepCell runs one (op, severity) grid point through the streaming
-// batch executor: each picture is corrupted lazily on a worker when its
-// turn comes and released right after scoring, so a cell holds O(workers)
-// corrupted copies instead of the full severity set. Corruption seeds
-// derive from (seed, op, severity, item), so the grid is bit-identical to
-// the historical materialise-then-translate path for any worker count.
+// sweepCell runs one (op, severity) grid point. Corruption seeds derive
+// from (seed, op, severity, item), so the grid is the same for any worker
+// count.
 func sweepCell(pipe *core.Pipeline, samples []*dataset.Sample, op corrupt.Op, sev, opIdx int, opts SweepOptions) SweepCell {
-	cell := SweepCell{Op: op.Name, Severity: sev, N: len(samples)}
+	var offset func(s *dataset.Sample) (dx, dy int)
+	if sev > 0 && op.Offset != nil {
+		offset = func(s *dataset.Sample) (int, int) { return op.Offset(sev, s.Image.W, s.Image.H) }
+	}
+	cell := scoreCell(pipe, samples, batch.Options{Workers: opts.Workers, Timeout: opts.Timeout}, offset,
+		func(i int) *imgproc.Gray {
+			if sev == 0 {
+				return samples[i].Image // untouched: bit-identical to the clean path
+			}
+			return op.Fn(samples[i].Image, sev, cellSeed(opts.Seed, opIdx, sev, i))
+		})
+	cell.Op, cell.Severity = op.Name, sev
+	return cell
+}
+
+// scoreCell translates one variant of every sample — picture(i) makes
+// sample i's, lazily on a worker when its turn comes — through the
+// streaming batch executor and scores it against the sample's ground
+// truth, shifted by offset when the variant moved the content. Each
+// picture is released right after scoring, so a cell holds O(workers)
+// variants, and scoring runs at the ordered emit, so the cell equals a
+// sequential Translate loop for any worker count. The corruption sweep
+// and the noise and scale experiments all score through it.
+func scoreCell(pipe *core.Pipeline, samples []*dataset.Sample, opts batch.Options,
+	offset func(s *dataset.Sample) (dx, dy int), picture func(i int) *imgproc.Gray) SweepCell {
+	cell := SweepCell{N: len(samples)}
 	src := batch.Func(len(samples), func(i int) batch.Item {
-		s := samples[i]
 		return batch.Item{
-			Name: s.Name,
-			Load: func() (*imgproc.Gray, error) {
-				if sev == 0 {
-					return s.Image, nil // untouched: bit-identical to the clean path
-				}
-				return op.Fn(s.Image, sev, cellSeed(opts.Seed, opIdx, sev, i)), nil
-			},
+			Name: samples[i].Name,
+			Load: func() (*imgproc.Gray, error) { return picture(i), nil },
 		}
 	})
 
@@ -173,49 +189,47 @@ func sweepCell(pipe *core.Pipeline, samples []*dataset.Sample, op corrupt.Op, se
 	var edgesFound, edgesAll, textsOK, textsAll int
 	// The source cannot fail and the scorer never aborts, so Run's error
 	// is nil by construction.
-	_, _ = batch.Run(context.Background(), pipe, src,
-		batch.Options{Workers: opts.Workers, Timeout: opts.Timeout},
-		func(r batch.Result) error {
-			s := samples[r.Index]
-			var dx, dy int
-			if sev > 0 && op.Offset != nil {
-				dx, dy = op.Offset(sev, s.Image.W, s.Image.H)
-			}
-			if r.Rep != nil {
-				cell.Diags += len(r.Rep.Diags)
-				for _, gt := range s.Edges {
-					gtBox := gt.Box.Translate(dx, dy)
-					for _, d := range r.Rep.Edges {
-						if d.Box.IoU(gtBox) >= 0.5 && d.Type == gt.Type {
-							edgesFound++
-							break
-						}
-					}
-				}
-				for _, gt := range s.Texts {
-					gtBox := gt.Box.Translate(dx, dy)
-					for _, t := range r.Rep.Texts {
-						if t.Box.IoU(gtBox) >= 0.3 && t.Text == gt.Text {
-							textsOK++
-							break
-						}
+	_, _ = batch.Run(context.Background(), pipe, src, opts, func(r batch.Result) error {
+		s := samples[r.Index]
+		var dx, dy int
+		if offset != nil {
+			dx, dy = offset(s)
+		}
+		if r.Rep != nil {
+			cell.Diags += len(r.Rep.Diags)
+			for _, gt := range s.Edges {
+				gtBox := gt.Box.Translate(dx, dy)
+				for _, d := range r.Rep.Edges {
+					if d.Box.IoU(gtBox) >= 0.5 && d.Type == gt.Type {
+						edgesFound++
+						break
 					}
 				}
 			}
-			edgesAll += len(s.Edges)
-			textsAll += len(s.Texts)
-			if r.Err != nil {
-				cell.Errors++
-				return nil
+			for _, gt := range s.Texts {
+				gtBox := gt.Box.Translate(dx, dy)
+				for _, t := range r.Rep.Texts {
+					if t.Box.IoU(gtBox) >= 0.3 && t.Text == gt.Text {
+						textsOK++
+						break
+					}
+				}
 			}
-			if r.SPO.TemplateEqual(s.Truth) {
-				tmpl++
-			}
-			if r.SPO.TotalEqual(s.Truth) {
-				total++
-			}
+		}
+		edgesAll += len(s.Edges)
+		textsAll += len(s.Texts)
+		if r.Err != nil {
+			cell.Errors++
 			return nil
-		})
+		}
+		if r.SPO.TemplateEqual(s.Truth) {
+			tmpl++
+		}
+		if r.SPO.TotalEqual(s.Truth) {
+			total++
+		}
+		return nil
+	})
 	if cell.N > 0 {
 		cell.Template = float64(tmpl) / float64(cell.N)
 		cell.Total = float64(total) / float64(cell.N)

@@ -91,7 +91,7 @@ type Model struct {
 
 	// scratch pools per-goroutine inference buffers so Detect performs no
 	// transient allocation in its classify loop, including when many
-	// goroutines translate pictures concurrently (core.TranslateAll).
+	// goroutines translate pictures concurrently (batch.Run, tdserve).
 	scratch sync.Pool
 }
 

@@ -8,7 +8,8 @@
 // Endpoints:
 //
 //	POST /v1/translate        PNG body in, SPO JSON + diagnostics out
-//	POST /v1/translate/batch  multipart/form-data of PNG files, JSON array out
+//	POST /v1/translate/batch  multipart/form-data of PNG files, {"results": [...]} out,
+//	                          one entry per part
 //	POST /v1/verify           TD picture (or cached ref) + delay bounds + VCD
 //	                          dump in, NDJSON verdict stream out
 //	POST   /v1/jobs              submit a durable async job (multipart or manifest)
@@ -39,9 +40,10 @@
 // QueueDepth further requests wait for a slot. A request that would grow
 // the wait queue beyond QueueDepth is rejected immediately with 429 and a
 // Retry-After header — the service sheds load instead of accumulating an
-// unbounded backlog. Batch items are admitted item-by-item through the
-// same gate, so one large batch cannot starve interactive traffic beyond
-// the configured queue.
+// unbounded backlog. Batch parts are admitted part by part through the
+// same gate, and one upload has at most Workers parts in it at once (and
+// at most Workers+1 decoded), so one large batch cannot starve
+// interactive traffic beyond the configured queue.
 package serve
 
 import (
@@ -672,11 +674,12 @@ func attachTrace(res processResult, tr *obs.Trace) processResult {
 // handleBatch serves POST /v1/translate/batch: multipart/form-data where
 // every file part is one PNG. Parts stream off the wire one at a time —
 // each is decoded through the size-capped streaming reader, never
-// buffered wholesale — and flow through the batch executor, whose
-// admission window keeps at most O(Workers) decoded pictures resident no
-// matter how many parts the upload carries. Items are translated through
-// the same cache and worker pool as single requests, and the response
-// carries one entry per part, in part order.
+// buffered wholesale — and every decoded part is answered through
+// s.process, the LRU, store, admission gate and deadline of a single
+// request, on at most Workers goroutines. The reader decodes the next
+// part only while those are busy, so at most Workers+1 decoded pictures
+// are resident however many parts the upload carries. The response is
+// {"results": [...]}, one entry per part, in part order.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST multipart/form-data with PNG file parts", nil)
@@ -689,107 +692,67 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "content type must be multipart/form-data", nil)
 		return
 	}
-	src := &multipartSource{s: s, mr: multipart.NewReader(r.Body, params["boundary"])}
-
-	var out []ItemResult
-	_, err = batch.Run(r.Context(), s.pipe, src, batch.Options{
-		Workers: s.cfg.Workers,
-		// The custom Do routes every item through s.process — the same
-		// admission gate, LRU, persistent store and deadline as a single
-		// request — so the executor contributes only streaming, bounded
-		// fan-out and ordered emission.
-		Do: func(ctx context.Context, it batch.Item) batch.Result {
-			var ie *itemError
-			if errors.As(it.Err, &ie) {
-				return batch.Result{Err: it.Err, Aux: ItemResult{
-					Name: it.Name, Status: ie.status, Error: ie.msg,
-					Diags: []diag.Diagnostic{diag.New(diag.StageInput, diag.Error, "%s", ie.msg)},
-				}}
-			}
-			res := s.process(ctx, it.Image, false)
-			return batch.Result{Cached: res.cached, Aux: itemResultFrom(it.Name, res)}
-		},
-	}, func(res batch.Result) error {
-		out = append(out, res.Aux.(ItemResult))
-		return nil
-	})
-	if err != nil {
-		var ab *batchAbort
-		if errors.As(err, &ab) {
-			s.badRequests.Inc()
-			s.writeError(w, ab.status, ab.msg, nil)
-		} else {
-			s.writeError(w, statusForCtxErr(err), "batch aborted: "+err.Error(), nil)
+	ctx := r.Context()
+	mr := multipart.NewReader(r.Body, params["boundary"])
+	results := []*ItemResult{}
+	slots := make(chan struct{}, s.cfg.Workers)
+	var wg sync.WaitGroup
+	// abort is a terminal upload failure: once the parts already handed
+	// out have finished, the whole batch is refused with 400.
+	var abort string
+parts:
+	for {
+		part, err := mr.NextPart()
+		if err == io.EOF {
+			break
 		}
-		return
-	}
-	s.batchImages.Add(int64(len(out)))
-
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(struct {
-		Results []ItemResult `json:"results"`
-	}{out})
-}
-
-// batchAbort is a terminal source failure: the whole batch request is
-// refused with its status.
-type batchAbort struct {
-	status int
-	msg    string
-}
-
-func (e *batchAbort) Error() string { return e.msg }
-
-// itemError is a per-part preparation failure carried through the
-// executor as the item's error.
-type itemError struct {
-	status int
-	msg    string
-}
-
-func (e *itemError) Error() string { return e.msg }
-
-// multipartSource streams batch parts as executor items: each Next reads
-// exactly one part and decodes it straight off the wire through the
-// size-capped streaming reader. The request body is consumed part by part
-// under the executor's backpressure — a 500-image upload never has more
-// than the in-flight window decoded at once, and the raw bytes are never
-// accumulated at all.
-type multipartSource struct {
-	s     *Server
-	mr    *multipart.Reader
-	count int
-}
-
-func (m *multipartSource) Next() (batch.Item, error) {
-	part, err := m.mr.NextPart()
-	if err == io.EOF {
-		return batch.Item{}, io.EOF
-	}
-	if err != nil {
-		return batch.Item{}, &batchAbort{status: http.StatusBadRequest, msg: "read multipart body: " + err.Error()}
-	}
-	if m.count >= m.s.cfg.MaxBatchParts {
+		if err != nil {
+			abort = "read multipart body: " + err.Error()
+			break
+		}
+		if len(results) == s.cfg.MaxBatchParts {
+			part.Close()
+			abort = fmt.Sprintf("batch exceeds %d pictures", s.cfg.MaxBatchParts)
+			break
+		}
+		item := &ItemResult{Name: part.FileName()}
+		if item.Name == "" {
+			item.Name = part.FormName()
+		}
+		results = append(results, item)
+		img, status, msg := s.readPNGStream(io.LimitReader(part, s.cfg.MaxBodyBytes+1))
 		part.Close()
-		return batch.Item{}, &batchAbort{
-			status: http.StatusBadRequest,
-			msg:    fmt.Sprintf("batch exceeds %d pictures", m.s.cfg.MaxBatchParts),
+		if msg != "" {
+			item.Status, item.Error = status, msg
+			item.Diags = []diag.Diagnostic{diag.New(diag.StageInput, diag.Error, "%s", msg)}
+			continue
 		}
+		select {
+		case slots <- struct{}{}:
+		case <-ctx.Done():
+			break parts
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			*item = itemResultFrom(item.Name, s.process(ctx, img, false))
+			<-slots
+		}()
 	}
-	m.count++
-	name := part.FileName()
-	if name == "" {
-		name = part.FormName()
+	wg.Wait()
+	switch {
+	case abort != "":
+		s.badRequests.Inc()
+		s.writeError(w, http.StatusBadRequest, abort, nil)
+	case ctx.Err() != nil:
+		s.writeError(w, statusForCtxErr(ctx.Err()), "batch aborted: "+ctx.Err().Error(), nil)
+	default:
+		s.batchImages.Add(int64(len(results)))
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(struct {
+			Results []*ItemResult `json:"results"`
+		}{results})
 	}
-	it := batch.Item{Name: name}
-	img, status, msg := m.s.readPNGStream(io.LimitReader(part, m.s.cfg.MaxBodyBytes+1))
-	part.Close()
-	if msg != "" {
-		it.Err = &itemError{status: status, msg: msg}
-	} else {
-		it.Image = img
-	}
-	return it, nil
 }
 
 // itemResultFrom converts a processResult into a batch item entry: the

@@ -517,75 +517,238 @@ func TestBadInputs400(t *testing.T) {
 	}
 }
 
-// TestBatchEndpoint posts a multipart batch mixing a valid picture, a
-// duplicate (cache hit) and a malformed part, and checks the per-item
-// results keep part order and per-item statuses.
-func TestBatchEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
-	_, val := fixture(t)
-	png0 := pngBytes(t, val[0])
+// multipartBody builds a multipart/form-data upload with one file part
+// per picture, named "<name>.png" in the given order.
+func multipartBody(t *testing.T, names []string, pics map[string][]byte) ([]byte, string) {
+	t.Helper()
+	var buf bytes.Buffer
+	mw := multipart.NewWriter(&buf)
+	for _, name := range names {
+		fw, err := mw.CreateFormFile(name, name+".png")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw.Write(pics[name])
+	}
+	if err := mw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), mw.FormDataContentType()
+}
 
-	buildBatch := func(parts map[string][]byte, order []string) (*bytes.Buffer, string) {
-		var buf bytes.Buffer
-		mw := multipart.NewWriter(&buf)
-		for _, name := range order {
-			fw, err := mw.CreateFormFile(name, name+".png")
+// batchCounters are the counters a batch request can move.
+type batchCounters struct {
+	badRequests, rejections, batchImages, cacheHits int64
+}
+
+func countersOf(s *Server) batchCounters {
+	return batchCounters{s.badRequests.Value(), s.rejections.Value(), s.batchImages.Value(), s.cacheHits.Value()}
+}
+
+// TestBatchEndpoint pins the batch endpoint's contract, one upload per
+// row: the status, the body, and how far the counters moved. Entries keep
+// part order and names; a part that is not a picture answers its own 400;
+// a refused upload answers 400 for the whole batch.
+func TestBatchEndpoint(t *testing.T) {
+	_, val := fixture(t)
+	pics := map[string][]byte{"garbage": []byte("garbage")}
+	for i, smp := range val {
+		pics[fmt.Sprint("v", i)] = pngBytes(t, smp)
+	}
+	type response struct {
+		Results []ItemResult `json:"results"`
+	}
+	decode := func(t *testing.T, raw []byte) response {
+		t.Helper()
+		var out response
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatalf("batch response not JSON: %v: %s", err, raw)
+		}
+		return out
+	}
+	wantError := func(prefix string) func(*testing.T, []byte) {
+		return func(t *testing.T, raw []byte) {
+			var er ErrorResponse
+			if err := json.Unmarshal(raw, &er); err != nil || !strings.HasPrefix(er.Error, prefix) {
+				t.Errorf("error body = %s, want an error starting %q", raw, prefix)
+			}
+		}
+	}
+
+	three, threeType := multipartBody(t, []string{"v0", "garbage", "v1"}, pics)
+	one, oneType := multipartBody(t, []string{"v2"}, pics)
+	repeat, repeatType := multipartBody(t, []string{"v0"}, pics)
+	empty, emptyType := multipartBody(t, nil, pics)
+	// 2×Workers+3 parts with Workers 2: every fresh picture plus one
+	// garbage part in the middle.
+	manyNames := []string{"v0", "v1", "v2", "garbage", "v3", "v4", "v5"}
+	many, manyType := multipartBody(t, manyNames, pics)
+	// Cut the upload off halfway through its second part.
+	two, twoType := multipartBody(t, []string{"v0", "v1"}, pics)
+	cut := two[:bytes.Index(two, pics["v1"])+len(pics["v1"])/2]
+
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		body  []byte
+		ctype string
+		// setup runs before the upload and returns its cleanup.
+		setup      func(t *testing.T, s *Server, ts *httptest.Server) func()
+		wantStatus int
+		wantBody   string // exact body, when set
+		check      func(t *testing.T, raw []byte)
+		want       batchCounters // counter deltas
+	}{{
+		name: "mixed", cfg: Config{Workers: 2}, body: three, ctype: threeType,
+		wantStatus: http.StatusOK,
+		check: func(t *testing.T, raw []byte) {
+			out := decode(t, raw)
+			if len(out.Results) != 3 {
+				t.Fatalf("results = %d, want 3", len(out.Results))
+			}
+			if r := out.Results[0]; r.Status != http.StatusOK || r.TranslateResponse == nil || r.SPO == nil {
+				t.Errorf("item v0: %+v", r)
+			}
+			if r := out.Results[1]; r.Status != http.StatusBadRequest || r.Error == "" {
+				t.Errorf("item garbage: %+v", r)
+			}
+			if r := out.Results[2]; r.Status != http.StatusOK {
+				t.Errorf("item v1: %+v", r)
+			}
+			if out.Results[0].Name != "v0.png" || out.Results[1].Name != "garbage.png" {
+				t.Errorf("part order/names wrong: %q %q", out.Results[0].Name, out.Results[1].Name)
+			}
+		},
+		want: batchCounters{batchImages: 3},
+	}, {
+		name: "repeat", cfg: Config{Workers: 2}, body: repeat, ctype: repeatType,
+		setup: func(t *testing.T, s *Server, ts *httptest.Server) func() {
+			resp, err := http.Post(ts.URL+"/v1/translate/batch", threeType, bytes.NewReader(three))
 			if err != nil {
 				t.Fatal(err)
 			}
-			fw.Write(parts[name])
-		}
-		mw.Close()
-		return &buf, mw.FormDataContentType()
-	}
-
-	body, ctype := buildBatch(map[string][]byte{
-		"a": png0,
-		"b": []byte("garbage"),
-		"c": pngBytes(t, val[1]),
-	}, []string{"a", "b", "c"})
-	resp, err := http.Post(ts.URL+"/v1/translate/batch", ctype, body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := readBody(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status = %d: %s", resp.StatusCode, raw)
-	}
-	var out struct {
-		Results []ItemResult `json:"results"`
-	}
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatalf("batch response not JSON: %v", err)
-	}
-	if len(out.Results) != 3 {
-		t.Fatalf("results = %d, want 3", len(out.Results))
-	}
-	if out.Results[0].Status != http.StatusOK || out.Results[0].TranslateResponse == nil || out.Results[0].SPO == nil {
-		t.Errorf("item a: %+v", out.Results[0])
-	}
-	if out.Results[1].Status != http.StatusBadRequest || out.Results[1].Error == "" {
-		t.Errorf("item b: %+v", out.Results[1])
-	}
-	if out.Results[2].Status != http.StatusOK {
-		t.Errorf("item c: %+v", out.Results[2])
-	}
-	if out.Results[0].Name != "a.png" || out.Results[1].Name != "b.png" {
-		t.Errorf("part order/names wrong: %q %q", out.Results[0].Name, out.Results[1].Name)
-	}
-
-	// Same picture again: answered from the cache.
-	body, ctype = buildBatch(map[string][]byte{"a": png0}, []string{"a"})
-	resp, err = http.Post(ts.URL+"/v1/translate/batch", ctype, body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw = readBody(t, resp)
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Results) != 1 || !out.Results[0].Cached {
-		t.Errorf("repeat batch item not cached: %s", raw)
+			readBody(t, resp)
+			return func() {}
+		},
+		wantStatus: http.StatusOK,
+		check: func(t *testing.T, raw []byte) {
+			if out := decode(t, raw); len(out.Results) != 1 || !out.Results[0].Cached {
+				t.Errorf("repeat batch item not cached: %s", raw)
+			}
+		},
+		want: batchCounters{batchImages: 1, cacheHits: 1},
+	}, {
+		name: "part-cap", cfg: Config{Workers: 2, MaxBatchParts: 2}, body: three, ctype: threeType,
+		wantStatus: http.StatusBadRequest,
+		wantBody:   `{"error":"batch exceeds 2 pictures"}`,
+		want:       batchCounters{badRequests: 1},
+	}, {
+		name: "cut-off", cfg: Config{Workers: 2}, body: cut, ctype: twoType,
+		wantStatus: http.StatusBadRequest,
+		check:      wantError("read multipart body:"),
+		want:       batchCounters{badRequests: 1},
+	}, {
+		name: "not-multipart", cfg: Config{Workers: 2}, body: pics["v0"], ctype: "image/png",
+		wantStatus: http.StatusBadRequest,
+		check:      wantError("content type must be multipart/form-data"),
+		want:       batchCounters{badRequests: 1},
+	}, {
+		name: "queue-full", cfg: Config{Workers: 1, QueueDepth: 1}, body: one, ctype: oneType,
+		setup: func(t *testing.T, s *Server, ts *httptest.Server) func() {
+			started := make(chan struct{}, 1)
+			block := make(chan struct{})
+			translateHook = func() {
+				started <- struct{}{}
+				<-block
+			}
+			done := make(chan struct{}, 2)
+			post := func(name string) {
+				readBody(t, postPNG(t, ts.URL, pics[name]))
+				done <- struct{}{}
+			}
+			go post("v0")
+			<-started // the one worker slot is held
+			go post("v1")
+			deadline := time.Now().Add(5 * time.Second)
+			for s.queued.Value() != 1 {
+				if time.Now().After(deadline) {
+					t.Fatal("single request never queued")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			return func() {
+				close(block)
+				<-done
+				<-done
+				translateHook = nil
+			}
+		},
+		wantStatus: http.StatusOK,
+		check: func(t *testing.T, raw []byte) {
+			out := decode(t, raw)
+			if len(out.Results) != 1 || out.Results[0].Status != http.StatusTooManyRequests ||
+				out.Results[0].Error != "translation queue full" {
+				t.Errorf("part under a full queue: %s", raw)
+			}
+		},
+		want: batchCounters{rejections: 1, batchImages: 1},
+	}, {
+		name: "many-parts", cfg: Config{Workers: 2}, body: many, ctype: manyType,
+		wantStatus: http.StatusOK,
+		check: func(t *testing.T, raw []byte) {
+			out := decode(t, raw)
+			if len(out.Results) != len(manyNames) {
+				t.Fatalf("results = %d, want %d", len(out.Results), len(manyNames))
+			}
+			for i, r := range out.Results {
+				if r.Name != manyNames[i]+".png" {
+					t.Errorf("entry %d is %q, want %q", i, r.Name, manyNames[i]+".png")
+				}
+				if manyNames[i] != "garbage" {
+					if r.Status != http.StatusOK || r.SPO == nil {
+						t.Errorf("entry %s: %+v", r.Name, r)
+					}
+					continue
+				}
+				if r.Status != http.StatusBadRequest || r.Error != "body is not a PNG" ||
+					len(r.Diags) != 1 || r.Diags[0].Stage != diag.StageInput || r.Diags[0].Severity != diag.Error {
+					t.Errorf("garbage entry: %+v", r)
+				}
+			}
+		},
+		want: batchCounters{batchImages: int64(len(manyNames))},
+	}, {
+		name: "empty", cfg: Config{Workers: 2}, body: empty, ctype: emptyType,
+		wantStatus: http.StatusOK,
+		wantBody:   `{"results":[]}`,
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, tc.cfg)
+			if tc.setup != nil {
+				defer tc.setup(t, s, ts)()
+			}
+			before := countersOf(s)
+			resp, err := http.Post(ts.URL+"/v1/translate/batch", tc.ctype, bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw := readBody(t, resp)
+			if resp.StatusCode != tc.wantStatus {
+				t.Fatalf("status = %d (%s), want %d", resp.StatusCode, raw, tc.wantStatus)
+			}
+			if tc.wantBody != "" && string(bytes.TrimSpace(raw)) != tc.wantBody {
+				t.Errorf("body = %s, want %s", raw, tc.wantBody)
+			}
+			if tc.check != nil {
+				tc.check(t, raw)
+			}
+			after := countersOf(s)
+			got := batchCounters{after.badRequests - before.badRequests, after.rejections - before.rejections,
+				after.batchImages - before.batchImages, after.cacheHits - before.cacheHits}
+			if got != tc.want {
+				t.Errorf("counter deltas = %+v, want %+v", got, tc.want)
+			}
+		})
 	}
 }
 
