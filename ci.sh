@@ -26,8 +26,10 @@
 #                     run explicitly so a -run filter in step 4 can never
 #                     silently skip the AllocsPerRun pins
 #   6. fuzz smoke:    a few seconds of coverage-guided fuzzing on each
-#                     text parser (VCD, TDL); regressions on previously
-#                     found inputs fail immediately via the seed corpus
+#                     text parser (VCD, TDL) and on tdserve's upload reader
+#                     (against the streaming reference reader); regressions
+#                     on previously found inputs fail immediately via the
+#                     seed corpus
 #   7. benchmark smoke run: one iteration of the Fig. 1 single-image
 #                     pipeline plus the bit-packed kernel micro-benchmarks
 #                     (imgproc word ops, morphology, perception stage), so
@@ -116,6 +118,7 @@ go test -run 'TestNilTraceZeroAlloc|TestNilRecorderZeroAlloc' -count 1 ./interna
 go test -run 'TestDisabledTracingZeroAllocOnHotPath' -count 1 ./internal/core
 go test -run '^FuzzParse$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/vcd
 go test -run '^FuzzParse$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/tdl
+go test -run '^FuzzReadPicture$' -fuzz '^FuzzReadPicture$' -fuzztime 5s ./internal/serve
 go test -run '^$' -bench BenchmarkFig1PipelineSingleImage -benchtime 1x .
 go test -run '^$' -bench BenchmarkBinaryOps -benchtime 1x ./internal/imgproc
 go test -run '^$' -bench BenchmarkMorphContours -benchtime 1x ./internal/morph

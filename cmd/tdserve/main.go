@@ -80,7 +80,7 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 		workers     = flag.Int("workers", 0, "concurrent translations (0 = GOMAXPROCS, capped at 8)")
 		queue       = flag.Int("queue", 0, "requests allowed to wait for a worker before 429 (0 = 4x workers)")
-		cache       = flag.Int("cache", 256, "result-cache entries keyed by picture content (-1 disables)")
+		cache       = flag.Int("cache", 256, "result-cache entries keyed by picture content, and as many known upload byte hashes (-1 disables)")
 		storeDir    = flag.String("store", "", "persistent content-addressed artifact store behind the in-memory cache; survives restarts and is shared with tdmagic -batch")
 		jobsDir     = flag.String("jobs", "", "durable job journal directory; enables the async /v1/jobs API (requires -store)")
 		jobsRoot    = flag.String("jobs-manifest-root", "", "directory manifest-style job submissions may reference; empty restricts /v1/jobs to uploads")

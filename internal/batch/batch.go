@@ -14,9 +14,9 @@
 //
 // With a store attached, each item is resolved content-addressed through
 // a Resolver, the artifact path tdserve and the job service share:
-// file-backed items first try the store's alias index (hash of the
-// encoded bytes → input hash), skipping even the PNG decode on warm
-// re-runs; otherwise the decoded pixels are hashed (store.HashImage) and
+// file-backed items first try its raw tier (the store's alias index, hash
+// of the encoded bytes → input hash), skipping even the PNG decode on
+// warm re-runs; otherwise the decoded pixels are hashed (store.HashImage) and
 // the artifact looked up under (config hash × input hash). A hit skips
 // translation entirely and replays the stored SPO, SpecText and
 // diagnostics byte-identically; a miss translates and persists the
@@ -293,13 +293,9 @@ func Process(ctx context.Context, pipe *core.Pipeline, it Item, opts Options) Re
 		// Warm fast path: the alias index maps the encoded bytes straight
 		// to the input hash, so an unchanged file resolves to its
 		// artifact without being decoded at all.
-		if opts.Store != nil {
-			rawKey = store.HashBytes(raw)
-			if input, ok := opts.Store.GetAlias(rawKey); ok {
-				if res, err := rs.Lookup(input); err == nil {
-					return r.resolved(res, nil)
-				}
-			}
+		rawKey = store.HashBytes(raw)
+		if res, err := rs.LookupRaw(rawKey); err == nil {
+			return r.resolved(res, nil)
 		}
 		if img, err = imgproc.DecodePNG(bytes.NewReader(raw)); err != nil {
 			return fail(err)
@@ -314,13 +310,10 @@ func Process(ctx context.Context, pipe *core.Pipeline, it Item, opts Options) Re
 	if err != nil {
 		res, err = rs.Translate(ctx, input, img)
 	}
-	r = r.resolved(res, err)
-	if r.Stored && !rawKey.IsZero() {
-		// Record the alias only once its artifact is in the store, so the
-		// index never points at a missing object.
-		_ = opts.Store.PutAlias(rawKey, r.Input)
+	if err == nil && !rawKey.IsZero() {
+		rs.Learn(rawKey, res)
 	}
-	return r
+	return r.resolved(res, err)
 }
 
 // resolved fills r from a resolution: the artifact's SPO and spec text,

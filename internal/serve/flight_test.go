@@ -11,9 +11,28 @@ import (
 	"tdmagic/internal/obs"
 )
 
+// cacheSpan returns the attributes of the one span a cache hit's trace
+// holds, failing when it holds anything else (a stage span would mean the
+// request was translated).
+func cacheSpan(t *testing.T, rec *obs.Recorder, rid string) map[string]int64 {
+	t.Helper()
+	dump := rec.Snapshot(obs.FlightFilter{RequestID: rid})
+	all := append(dump.Entries, dump.Pinned...)
+	if len(all) != 1 || len(all[0].Spans) != 1 || all[0].Spans[0].Name != "cache" {
+		t.Fatalf("trace of %s: %+v, want a single cache span", rid, all)
+	}
+	attrs := map[string]int64{}
+	for _, a := range all[0].Spans[0].Attrs {
+		attrs[a.Key] = a.Val
+	}
+	return attrs
+}
+
 // TestFlightEndpoint pins the happy path of GET /debug/flight: with a
 // recorder configured, an ordinary (non-debug) translate request leaves
-// a trace in the ring, retrievable and filterable by its request ID.
+// a trace in the ring, retrievable and filterable by its request ID. A
+// repeat's trace is one cache span, which says whether the raw tier
+// answered it.
 func TestFlightEndpoint(t *testing.T) {
 	rec := obs.NewRecorder(obs.RecorderConfig{})
 	_, ts := newTestServer(t, Config{Workers: 1, Flight: rec})
@@ -61,6 +80,17 @@ func TestFlightEndpoint(t *testing.T) {
 	}
 	if !hasStage {
 		t.Errorf("trace entry missing pipeline stage spans: %d spans", len(e.Spans))
+	}
+	for _, c := range []struct {
+		name string
+		png  []byte
+		raw  int64
+	}{{"repeat", png, 1}, {"re-encoded", reencode(t, png), 0}} {
+		resp := postPNG(t, ts.URL, c.png)
+		readBody(t, resp)
+		if span := cacheSpan(t, rec, resp.Header.Get("X-Request-ID")); span["hit"] != 1 || span["raw"] != c.raw {
+			t.Errorf("%s: cache span %v, want a hit with raw %d", c.name, span, c.raw)
+		}
 	}
 
 	if dump := get("?request_id=no-such-request"); len(dump.Entries)+len(dump.Pinned) != 0 {

@@ -47,7 +47,7 @@
 package serve
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -89,8 +89,9 @@ type Config struct {
 	// Workers in flight (<= 0 means 4x Workers). Overflow is answered
 	// with 429 + Retry-After.
 	QueueDepth int
-	// CacheSize is the LRU result-cache capacity in entries (< 0
-	// disables, 0 means 256).
+	// CacheSize is the LRU result-cache capacity in entries, and that of
+	// the raw index of upload byte hashes beside it (< 0 disables, 0
+	// means 256).
 	CacheSize int
 	// Timeout is the per-request translation deadline enforced through
 	// the pipeline's cooperative-cancellation plumbing (<= 0 means 30s).
@@ -470,18 +471,48 @@ type processResult struct {
 	inputHash string // hex content hash of the picture, "" on failure
 }
 
-// process translates one decoded picture through the resolver's LRU and
-// store, the bounded worker pool and the per-request deadline. It is the
-// shared execution path of both endpoints. skipCache bypasses the lookup
-// (debug requests want to observe the pipeline stages, and a hit would
-// record none); the result is still stored for later requests. Hits never
-// take a worker slot.
-func (s *Server) process(ctx context.Context, img *imgproc.Gray, skipCache bool) processResult {
+// readUpload reads one picture upload off r and returns how to answer
+// it — the shared front end of /v1/translate, each batch part and
+// /v1/verify's image. A picture whose exact bytes the resolver knows is
+// answered at once from the raw tier, without a decode; other bytes are
+// decoded (the buffer is dropped then) and answered by process, which
+// teaches the resolver the bytes. skipCache (?debug=1) bypasses every
+// tier. The caller runs answer when ready for it; refusal is set instead
+// when the upload is no admissible picture, and each surface words that
+// answer its own way.
+func (s *Server) readUpload(ctx context.Context, r io.Reader, skipCache bool) (answer func() processResult, refusal string) {
+	u, refusal := s.readPicture(io.LimitReader(r, s.cfg.MaxBodyBytes+1))
+	if refusal != "" {
+		return nil, refusal
+	}
+	rawKey := store.HashBytes(u.raw)
+	if !skipCache {
+		if res, err := s.resolver.LookupRaw(rawKey); err == nil {
+			s.requests.Inc()
+			out := s.hit(ctx, res, true)
+			return func() processResult { return out }, ""
+		}
+	}
+	img, refusal := u.decode()
+	if refusal != "" {
+		return nil, refusal
+	}
+	return func() processResult { return s.process(ctx, img, rawKey, skipCache) }, ""
+}
+
+// process translates one decoded picture, whose encoded bytes hash to
+// rawKey, through the resolver's LRU and store, the bounded worker pool
+// and the per-request deadline, and teaches the resolver rawKey. skipCache
+// bypasses the lookup (debug requests want to observe the pipeline
+// stages, and a hit would record none); the result is still stored for
+// later requests. Hits never take a worker slot.
+func (s *Server) process(ctx context.Context, img *imgproc.Gray, rawKey store.Hash, skipCache bool) processResult {
 	s.requests.Inc()
 	key := store.HashImage(img)
 	if !skipCache {
-		if res, ok := s.lookup(ctx, key); ok {
-			return res
+		if res, err := s.resolver.Lookup(key); err == nil {
+			s.resolver.Learn(rawKey, res)
+			return s.hit(ctx, res, false)
 		}
 	}
 	if sp := obs.StartSpan(ctx, "cache"); sp != nil {
@@ -495,14 +526,17 @@ func (s *Server) process(ctx context.Context, img *imgproc.Gray, skipCache bool)
 		}
 		return errorResult(statusForCtxErr(err), "request cancelled: "+err.Error(), nil)
 	}
-	defer s.release()
-	s.inflight.Inc()
-	defer s.inflight.Dec()
-	if translateHook != nil {
-		translateHook()
-	}
-
-	res, err := s.resolver.Translate(ctx, key, img)
+	// The slot bounds the translation and its store write; the alias
+	// write after it holds no slot.
+	res, err := func() (batch.Resolved, error) {
+		defer s.release()
+		s.inflight.Inc()
+		defer s.inflight.Dec()
+		if translateHook != nil {
+			translateHook()
+		}
+		return s.resolver.Translate(ctx, key, img)
+	}()
 	if err != nil {
 		msg := "translation failed"
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -514,6 +548,7 @@ func (s *Server) process(ctx context.Context, img *imgproc.Gray, skipCache bool)
 		}
 		return errorResult(statusForCtxErr(err), msg, ds)
 	}
+	s.resolver.Learn(rawKey, res)
 	if res.Stored {
 		s.storePuts.Inc()
 	}
@@ -523,23 +558,29 @@ func (s *Server) process(ctx context.Context, img *imgproc.Gray, skipCache bool)
 	return s.answer(res)
 }
 
-// lookup answers key from the LRU or the store without translating,
-// counting the tier that answered; ok is false on a miss.
+// lookup answers key from the LRU or the store without translating; ok
+// is false on a miss.
 func (s *Server) lookup(ctx context.Context, key store.Hash) (processResult, bool) {
 	res, err := s.resolver.Lookup(key)
 	if err != nil {
 		return processResult{}, false
 	}
+	return s.hit(ctx, res, false), true
+}
+
+// hit answers a resolved artifact from the LRU or the store, counting the
+// tier that held it; raw reports that the raw tier found it.
+func (s *Server) hit(ctx context.Context, res batch.Resolved, raw bool) processResult {
 	if res.Tier == batch.TierStore {
 		s.storeHits.Inc()
 	} else {
 		s.cacheHits.Inc()
 	}
 	if sp := obs.StartSpan(ctx, "cache"); sp != nil {
-		sp.Bool("hit", true).Bool("store", res.Tier == batch.TierStore)
+		sp.Bool("hit", true).Bool("store", res.Tier == batch.TierStore).Bool("raw", raw)
 		sp.End()
 	}
-	return s.answer(res), true
+	return s.answer(res)
 }
 
 // answer turns a resolved artifact into a reply. An artifact that records
@@ -596,14 +637,6 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST a PNG body", nil)
 		return
 	}
-	img, errStatus, errMsg := s.readPNG(r.Body, r.ContentLength)
-	if errMsg != "" {
-		s.badRequests.Inc()
-		s.writeError(w, errStatus, errMsg, []diag.Diagnostic{
-			diag.New(diag.StageInput, diag.Error, "%s", errMsg),
-		})
-		return
-	}
 	ctx := r.Context()
 	debug := r.URL.Query().Get("debug") == "1"
 	var tr *obs.Trace
@@ -614,7 +647,21 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 		tr = obs.NewTrace(requestID(r))
 		ctx = obs.ContextWithTrace(ctx, tr)
 	}
-	res := s.process(ctx, img, debug)
+	var answer func() processResult
+	var refusal string
+	if r.ContentLength > s.cfg.MaxBodyBytes {
+		refusal = fmt.Sprintf("body of %d bytes exceeds the %d-byte limit", r.ContentLength, s.cfg.MaxBodyBytes)
+	} else {
+		answer, refusal = s.readUpload(ctx, r.Body, debug)
+	}
+	if refusal != "" {
+		s.badRequests.Inc()
+		s.writeError(w, http.StatusBadRequest, refusal, []diag.Diagnostic{
+			diag.New(diag.StageInput, diag.Error, "%s", refusal),
+		})
+		return
+	}
+	res := answer()
 	// Capture before answering, errors and timeouts included — the slow
 	// trace that exceeded the deadline is exactly the one worth pinning.
 	s.cfg.Flight.Capture(tr)
@@ -672,14 +719,14 @@ func attachTrace(res processResult, tr *obs.Trace) processResult {
 }
 
 // handleBatch serves POST /v1/translate/batch: multipart/form-data where
-// every file part is one PNG. Parts stream off the wire one at a time —
-// each is decoded through the size-capped streaming reader, never
-// buffered wholesale — and every decoded part is answered through
-// s.process, the LRU, store, admission gate and deadline of a single
-// request, on at most Workers goroutines. The reader decodes the next
-// part only while those are busy, so at most Workers+1 decoded pictures
-// are resident however many parts the upload carries. The response is
-// {"results": [...]}, one entry per part, in part order.
+// every file part is one PNG. Parts stream off the wire one at a time,
+// each through readUpload, the raw tier and size cap of a single request;
+// every decoded part is answered through s.process, the LRU, store,
+// admission gate and deadline of a single request, on at most Workers
+// goroutines. The reader takes the next part only while those are busy,
+// so at most Workers+1 decoded pictures are resident however many parts
+// the upload carries. The response is {"results": [...]}, one entry per
+// part, in part order.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST multipart/form-data with PNG file parts", nil)
@@ -720,11 +767,11 @@ parts:
 			item.Name = part.FormName()
 		}
 		results = append(results, item)
-		img, status, msg := s.readPNGStream(io.LimitReader(part, s.cfg.MaxBodyBytes+1))
+		answer, refusal := s.readUpload(ctx, part, false)
 		part.Close()
-		if msg != "" {
-			item.Status, item.Error = status, msg
-			item.Diags = []diag.Diagnostic{diag.New(diag.StageInput, diag.Error, "%s", msg)}
+		if refusal != "" {
+			item.Status, item.Error = http.StatusBadRequest, refusal
+			item.Diags = []diag.Diagnostic{diag.New(diag.StageInput, diag.Error, "%s", refusal)}
 			continue
 		}
 		select {
@@ -735,7 +782,7 @@ parts:
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			*item = itemResultFrom(item.Name, s.process(ctx, img, false))
+			*item = itemResultFrom(item.Name, answer())
 			<-slots
 		}()
 	}
@@ -877,68 +924,60 @@ func (s *Server) writeError(w http.ResponseWriter, status int, msg string, ds []
 	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: msg, Diags: ds})
 }
 
-// readPNG decodes the request body as a PNG under the body-size cap.
-func (s *Server) readPNG(body io.ReadCloser, contentLength int64) (*imgproc.Gray, int, string) {
-	if contentLength > s.cfg.MaxBodyBytes {
-		return nil, http.StatusBadRequest,
-			fmt.Sprintf("body of %d bytes exceeds the %d-byte limit", contentLength, s.cfg.MaxBodyBytes)
-	}
-	return s.readPNGStream(io.LimitReader(body, s.cfg.MaxBodyBytes+1))
-}
-
 // pngMagic is the 8-byte PNG signature.
 var pngMagic = [8]byte{0x89, 'P', 'N', 'G', '\r', '\n', 0x1a, '\n'}
 
-// countReader tallies the bytes pulled through it, so the size cap can be
-// enforced on a stream without buffering it.
-type countReader struct {
-	r io.Reader
-	n int64
+// upload is one picture's encoded bytes as readPicture buffered them.
+type upload struct {
+	raw []byte
+	err error // the transport error that cut the body short, if any
 }
 
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// readPNGStream decodes a PNG straight off r: the 24-byte magic + IHDR
-// prefix is peeked (screening out adversarial "small file, enormous
-// raster" bombs before committing to a decode), the decoder then pulls
-// the compressed stream directly, and the remainder is drained through a
-// byte counter to enforce the size cap. Nothing buffers the encoded body
-// wholesale — resident cost is the decoded raster plus a small bufio
-// window, which is what lets a many-part batch upload stream.
-func (s *Server) readPNGStream(r io.Reader) (*imgproc.Gray, int, string) {
-	cr := &countReader{r: r}
-	br := bufio.NewReader(cr)
-	head, err := br.Peek(24)
-	if len(head) < 24 {
-		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) || err == nil {
-			return nil, http.StatusBadRequest, "body is not a PNG"
+// readPicture reads one uploaded PNG off r, which the caller limits to
+// MaxBodyBytes+1. The 24-byte magic + IHDR prefix is screened before
+// anything is buffered, refusing adversarial "small file, enormous
+// raster" bombs from the header alone; the rest is buffered, so the raw
+// tier can answer known bytes before any decode.
+func (s *Server) readPicture(r io.Reader) (upload, string) {
+	head := make([]byte, 24)
+	if _, err := io.ReadFull(r, head); err != nil {
+		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
+			return upload{}, "body is not a PNG"
 		}
-		return nil, http.StatusBadRequest, "read body: " + err.Error()
+		return upload{}, "read body: " + err.Error()
 	}
 	if [8]byte(head[:8]) != pngMagic {
-		return nil, http.StatusBadRequest, "body is not a PNG"
+		return upload{}, "body is not a PNG"
 	}
 	// IHDR is mandatory and first: width and height live at bytes 16-23.
 	width := int64(binary.BigEndian.Uint32(head[16:20]))
 	height := int64(binary.BigEndian.Uint32(head[20:24]))
 	if width <= 0 || height <= 0 || width*height > core.MaxPixels {
-		return nil, http.StatusBadRequest,
-			fmt.Sprintf("declared %dx%d raster exceeds the %d-pixel limit", width, height, core.MaxPixels)
+		return upload{}, fmt.Sprintf("declared %dx%d raster exceeds the %d-pixel limit", width, height, core.MaxPixels)
 	}
-	img, err := imgproc.DecodePNG(br)
-	// Drain whatever the decoder left (trailing chunks, or the rest of a
-	// body it bailed on) so the byte count below covers the full stream.
-	_, _ = io.Copy(io.Discard, br)
-	if cr.n > s.cfg.MaxBodyBytes {
-		return nil, http.StatusBadRequest,
-			fmt.Sprintf("body exceeds the %d-byte limit", s.cfg.MaxBodyBytes)
+	buf := bytes.NewBuffer(head)
+	_, err := buf.ReadFrom(r)
+	if int64(buf.Len()) > s.cfg.MaxBodyBytes {
+		return upload{}, fmt.Sprintf("body exceeds the %d-byte limit", s.cfg.MaxBodyBytes)
 	}
-	if err != nil {
-		return nil, http.StatusBadRequest, "decode png: " + err.Error()
-	}
-	return img, 0, ""
+	return upload{raw: buf.Bytes(), err: err}, ""
 }
+
+// decode decodes the upload as a decoder reading off the stream would
+// have: a transport error surfaces only if the decoder reads that far.
+func (u upload) decode() (*imgproc.Gray, string) {
+	var r io.Reader = bytes.NewReader(u.raw)
+	if u.err != nil {
+		r = io.MultiReader(r, failReader{u.err})
+	}
+	img, err := imgproc.DecodePNG(r)
+	if err != nil {
+		return nil, "decode png: " + err.Error()
+	}
+	return img, ""
+}
+
+// failReader fails every read with err.
+type failReader struct{ err error }
+
+func (f failReader) Read([]byte) (int, error) { return 0, f.err }

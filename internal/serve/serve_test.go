@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"image/png"
 	"io"
 	"math/rand"
 	"mime/multipart"
@@ -23,6 +25,7 @@ import (
 	"tdmagic/internal/diag"
 	"tdmagic/internal/imgproc"
 	"tdmagic/internal/jobs"
+	"tdmagic/internal/obs"
 	"tdmagic/internal/store"
 	"tdmagic/internal/tdgen"
 )
@@ -98,9 +101,29 @@ func readBody(t *testing.T, resp *http.Response) []byte {
 	return b
 }
 
-// TestTranslateCacheHit pins the cache contract: the second identical
-// upload is answered from the content cache with a byte-identical body,
-// and the hit/miss counters account for both requests.
+// reencode decodes a PNG and writes it again at the fastest zlib level:
+// the same pixels in different bytes.
+func reencode(t *testing.T, pic []byte) []byte {
+	t.Helper()
+	img, err := png.Decode(bytes.NewReader(pic))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := (&png.Encoder{CompressionLevel: png.BestSpeed}).Encode(&buf, img); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(buf.Bytes(), pic) {
+		t.Fatal("re-encoding produced the same bytes")
+	}
+	return buf.Bytes()
+}
+
+// TestTranslateCacheHit pins the cache contract: a re-encoding of an
+// uploaded picture (same pixels, other bytes) is answered from the
+// content cache with a byte-identical body and the same input hash, a
+// repeat of the original bytes is answered by the raw tier, and the
+// hit/miss counters account for every request.
 func TestTranslateCacheHit(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 	_, val := fixture(t)
@@ -122,21 +145,26 @@ func TestTranslateCacheHit(t *testing.T) {
 		t.Errorf("response missing spo/spec: %s", body1)
 	}
 
-	// Re-encode through a different PNG writer path: same pixels, so the
-	// content hash must still hit.
-	resp2 := postPNG(t, ts.URL, png)
-	body2 := readBody(t, resp2)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("second request: %d", resp2.StatusCode)
+	// The re-encoding misses the raw tier, so the pixel hash must hit;
+	// the original bytes again are answered by the raw tier.
+	for i, pic := range [][]byte{reencode(t, png), png} {
+		resp := postPNG(t, ts.URL, pic)
+		body := readBody(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("repeat %d: %d", i, resp.StatusCode)
+		}
+		if got := resp.Header.Get("X-Cache"); got != "hit" {
+			t.Errorf("repeat %d: X-Cache = %q, want hit", i, got)
+		}
+		if !bytes.Equal(body1, body) {
+			t.Errorf("repeat %d: cache hit body is not byte-identical to the first response", i)
+		}
+		if got, want := resp.Header.Get("X-Input-Hash"), resp1.Header.Get("X-Input-Hash"); got != want || got == "" {
+			t.Errorf("repeat %d: X-Input-Hash = %q, want %q", i, got, want)
+		}
 	}
-	if got := resp2.Header.Get("X-Cache"); got != "hit" {
-		t.Errorf("second X-Cache = %q, want hit", got)
-	}
-	if !bytes.Equal(body1, body2) {
-		t.Error("cache hit body is not byte-identical to the first response")
-	}
-	if hits, misses := s.cacheHits.Value(), s.cacheMisses.Value(); hits != 1 || misses != 1 {
-		t.Errorf("cache counters hits=%d misses=%d, want 1/1", hits, misses)
+	if hits, misses := s.cacheHits.Value(), s.cacheMisses.Value(); hits != 2 || misses != 1 {
+		t.Errorf("cache counters hits=%d misses=%d, want 2/1", hits, misses)
 	}
 }
 
@@ -155,11 +183,12 @@ func refusedPNG(t *testing.T) []byte {
 
 // TestPersistentStoreSurvivesRestart pins the second cache level and its
 // parity across writers: whoever put a picture's artifact in the store —
-// tdserve, batch.Process or a job — a fresh server over that store
-// answers it exactly as a cold server does, twice: first from the store,
-// then from the LRU the store hit promoted it into. A refused picture
-// answers 400 with the cold body on /v1/translate, 400 as a batch item
-// and 400 on /v1/verify by ref.
+// tdserve, batch.Process or a job — also left an alias for its bytes, and
+// a fresh server over that store answers the bytes exactly as a cold
+// server does, twice: first through the alias from the store, then
+// through the raw index from the LRU the store hit promoted it into. A
+// refused picture answers 400 with the cold body on /v1/translate, 400 as
+// a batch item and 400 on /v1/verify by ref.
 func TestPersistentStoreSurvivesRestart(t *testing.T) {
 	pipe, val := fixture(t)
 	ctx := context.Background()
@@ -212,7 +241,7 @@ func TestPersistentStoreSurvivesRestart(t *testing.T) {
 	for _, pic := range pictures {
 		_, cold := newTestServer(t, Config{Workers: 1})
 		resp := postPNG(t, cold.URL, pic.png)
-		want := readBody(t, resp)
+		want, wantHash := readBody(t, resp), resp.Header.Get("X-Input-Hash")
 		if resp.StatusCode != pic.status {
 			t.Fatalf("%s: cold status %d, want %d: %s", pic.name, resp.StatusCode, pic.status, want)
 		}
@@ -229,9 +258,13 @@ func TestPersistentStoreSurvivesRestart(t *testing.T) {
 					t.Fatal(err)
 				}
 				w.write(t, st, pic.png)
+				if input, ok := st.GetAlias(store.HashBytes(pic.png)); !ok || input.Hex() != ref {
+					t.Errorf("alias = %s %v, want %s", input.Hex(), ok, ref)
+				}
 
 				// Each endpoint asks a server with an empty LRU twice.
-				s, ts := newTestServer(t, Config{Workers: 1, Store: st})
+				rec := obs.NewRecorder(obs.RecorderConfig{})
+				s, ts := newTestServer(t, Config{Workers: 1, Store: st, Flight: rec})
 				for i := 0; i < 2; i++ {
 					resp := postPNG(t, ts.URL, pic.png)
 					body := readBody(t, resp)
@@ -240,6 +273,12 @@ func TestPersistentStoreSurvivesRestart(t *testing.T) {
 					}
 					if got := resp.Header.Get("X-Cache"); got != "hit" {
 						t.Errorf("translate %d: X-Cache = %q, want hit", i, got)
+					}
+					if got := resp.Header.Get("X-Input-Hash"); got != wantHash {
+						t.Errorf("translate %d: X-Input-Hash = %q, want the cold %q", i, got, wantHash)
+					}
+					if span := cacheSpan(t, rec, resp.Header.Get("X-Request-ID")); span["raw"] != 1 || span["store"] != int64(1-i) {
+						t.Errorf("translate %d: cache span %v, want raw, from the store then the LRU", i, span)
 					}
 				}
 				if sh, ch := s.storeHits.Value(), s.cacheHits.Value(); sh != 1 || ch != 1 {
@@ -276,6 +315,73 @@ func TestPersistentStoreSurvivesRestart(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAliasFollowsStoredArtifact pins the alias invariant on tdserve:
+// when the artifact's Put fails the upload still translates, but no alias
+// is written, and a repeat of its bytes is answered from the LRU through
+// the in-memory raw index; once Puts succeed, each alias is written after
+// its artifact.
+func TestAliasFollowsStoredArtifact(t *testing.T) {
+	_, val := fixture(t)
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder(obs.RecorderConfig{})
+	s, ts := newTestServer(t, Config{Workers: 1, Store: st, Flight: rec})
+	var (
+		mu      sync.Mutex
+		ops     []string
+		failPut = true
+	)
+	store.FaultHook = func(op, _ string) error {
+		mu.Lock()
+		defer mu.Unlock()
+		ops = append(ops, op)
+		if op == "put" && failPut {
+			return errors.New("disk full")
+		}
+		return nil
+	}
+	defer func() { store.FaultHook = nil }()
+
+	unstored := pngBytes(t, val[0])
+	for i, want := range []string{"miss", "hit"} {
+		resp := postPNG(t, ts.URL, unstored)
+		if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("upload %d: %d %s", i, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("X-Cache"); got != want {
+			t.Errorf("upload %d: X-Cache = %q, want %q", i, got, want)
+		}
+		if i == 1 {
+			if span := cacheSpan(t, rec, resp.Header.Get("X-Request-ID")); span["raw"] != 1 || span["store"] != 0 {
+				t.Errorf("repeat: cache span %v, want the raw index and the LRU", span)
+			}
+		}
+	}
+	if input, ok := st.GetAlias(store.HashBytes(unstored)); ok {
+		t.Fatalf("alias %s written for an artifact that was never stored", input.Hex())
+	}
+	if puts, hits := s.storePuts.Value(), s.cacheHits.Value(); puts != 0 || hits != 1 {
+		t.Errorf("store puts %d, LRU hits %d, want 0 and 1", puts, hits)
+	}
+
+	mu.Lock()
+	failPut, ops = false, nil
+	mu.Unlock()
+	stored := pngBytes(t, val[1])
+	resp := postPNG(t, ts.URL, stored)
+	readBody(t, resp)
+	mu.Lock()
+	defer mu.Unlock()
+	if fmt.Sprint(ops) != "[put alias]" {
+		t.Errorf("store writes %v, want the artifact, then its alias", ops)
+	}
+	if input, ok := st.GetAlias(store.HashBytes(stored)); !ok || input.Hex() != resp.Header.Get("X-Input-Hash") {
+		t.Errorf("alias = %s %v, want %s", input.Hex(), ok, resp.Header.Get("X-Input-Hash"))
 	}
 }
 

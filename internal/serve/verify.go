@@ -138,13 +138,13 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 				s.writeError(w, http.StatusBadRequest, "duplicate specification source: one image or ref part only", nil)
 				return
 			}
-			img, errStatus, errMsg := s.readPNGStream(io.LimitReader(part, s.cfg.MaxBodyBytes+1))
-			if errMsg != "" {
+			answer, refusal := s.readUpload(ctx, part, false)
+			if refusal != "" {
 				s.badRequests.Inc()
-				s.writeError(w, errStatus, errMsg, nil)
+				s.writeError(w, http.StatusBadRequest, refusal, nil)
 				return
 			}
-			res := s.process(ctx, img, false)
+			res := answer()
 			if res.status != http.StatusOK {
 				s.writeResult(w, res)
 				return

@@ -21,12 +21,13 @@
 // exactly the missing keys. Stale tmp files from a crash are cleared the
 // next time the store is opened.
 //
-// The alias index is a decode-skipping shortcut for file-backed sources:
-// it maps the hash of a file's encoded bytes to the canonical pixel-level
-// input hash, so a warm re-run over an unchanged directory resolves each
-// picture to its artifact without PNG-decoding or pixel-hashing it.
-// Aliases are config-independent (bytes -> pixels involves no model), so
-// all configurations share one index.
+// The alias index is a decode-skipping shortcut for file-backed sources
+// and tdserve uploads alike: it maps the hash of a file's or upload's
+// encoded bytes to the canonical pixel-level input hash, so a warm re-run
+// over an unchanged directory, or a repeat upload of known bytes,
+// resolves each picture to its artifact without PNG-decoding or
+// pixel-hashing it. Aliases are config-independent (bytes -> pixels
+// involves no model), so all configurations share one index.
 package store
 
 import (
