@@ -26,10 +26,12 @@
 #                     run explicitly so a -run filter in step 4 can never
 #                     silently skip the AllocsPerRun pins
 #   6. fuzz smoke:    a few seconds of coverage-guided fuzzing on each
-#                     text parser (VCD, TDL) and on tdserve's upload reader
-#                     (against the streaming reference reader); regressions
-#                     on previously found inputs fail immediately via the
-#                     seed corpus
+#                     text parser (VCD, TDL), on tdserve's upload reader
+#                     (against the streaming reference reader) and on the
+#                     job journal's replay (loadRecord: no panic, no
+#                     record without an ID, stable bytes when written
+#                     back); regressions on previously found inputs fail
+#                     immediately via the seed corpus
 #   7. benchmark smoke run: one iteration of the Fig. 1 single-image
 #                     pipeline plus the bit-packed kernel micro-benchmarks
 #                     (imgproc word ops, morphology, perception stage), so
@@ -78,7 +80,11 @@
 #                     while retranslating only items not journaled done
 #                     at the kill (completed items answer from the store),
 #                     with the final NDJSON results byte-identical to an
-#                     uninterrupted cold run
+#                     uninterrupted cold run; the restarted replica's
+#                     reclaims (the job's stats and
+#                     tdjobs_lease_reclaims_total, which must agree) are
+#                     only the claims the killed process held, at most
+#                     one per job worker
 #  10b. live telemetry on the resumed job: tail /v1/jobs/{id}/events while
 #                     the restarted replica drains the remainder (snapshot
 #                     first, every item completed exactly once across
@@ -119,6 +125,7 @@ go test -run 'TestDisabledTracingZeroAllocOnHotPath' -count 1 ./internal/core
 go test -run '^FuzzParse$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/vcd
 go test -run '^FuzzParse$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/tdl
 go test -run '^FuzzReadPicture$' -fuzz '^FuzzReadPicture$' -fuzztime 5s ./internal/serve
+go test -run '^FuzzLoadRecord$' -fuzz '^FuzzLoadRecord$' -fuzztime 5s ./internal/jobs
 go test -run '^$' -bench BenchmarkFig1PipelineSingleImage -benchtime 1x .
 go test -run '^$' -bench BenchmarkBinaryOps -benchtime 1x ./internal/imgproc
 go test -run '^$' -bench BenchmarkMorphContours -benchtime 1x ./internal/morph
@@ -454,6 +461,14 @@ grep -q '^tdstore_corrupt_total 0$' "$tmp/jmetrics.txt"
 grep -q '^tdjobs_item_seconds_count [1-9]' "$tmp/jmetrics.txt"
 grep -q '^tdjobs_jobs_total 1$' "$tmp/jmetrics.txt" # the resumed job counts
 grep -q "^# EXEMPLAR tdjobs_item_seconds_bucket.* $job_id " "$tmp/jmetrics.txt"
+
+# A claim lasts as long as its process: the only reclaims are the items
+# the killed process held running, at most one per job worker
+# (-jobs-workers 2), counted alike in the job and on the counter.
+reclaims=$(curl -fsS "http://$addr/v1/jobs/$job_id" |
+	python3 -c 'import json,sys; print(json.load(sys.stdin)["stats"]["reclaims"])')
+test "$reclaims" -le 2
+grep -q "^tdjobs_lease_reclaims_total $reclaims\$" "$tmp/jmetrics.txt"
 
 # The finished job left its root trace, resume and terminal events in the
 # flight recorder, retrievable by job ID.

@@ -86,7 +86,6 @@ func main() {
 		jobsRoot    = flag.String("jobs-manifest-root", "", "directory manifest-style job submissions may reference; empty restricts /v1/jobs to uploads")
 		jobsWorkers = flag.Int("jobs-workers", 0, "concurrent job item translations (0 = GOMAXPROCS)")
 		jobsRetries = flag.Int("jobs-attempts", 3, "attempts before an item is quarantined")
-		jobsLease   = flag.Duration("jobs-lease", 30*time.Second, "item lease duration before a silent worker is presumed dead")
 		jobsPause   = flag.Duration("jobs-throttle", 0, "pause before each job item attempt (rate limit)")
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-request translation deadline")
 		verifyTmo   = flag.Duration("verify-timeout", 60*time.Second, "per-request /v1/verify deadline (translation + streaming check)")
@@ -157,7 +156,6 @@ func main() {
 		}
 		js, err := jobs.Open(*jobsDir, pipe, cfg.Store, jobs.Config{
 			Workers:     *jobsWorkers,
-			LeaseTTL:    *jobsLease,
 			MaxAttempts: *jobsRetries,
 			Timeout:     *timeout,
 			Throttle:    *jobsPause,

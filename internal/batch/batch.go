@@ -251,7 +251,7 @@ func Run(ctx context.Context, pipe *core.Pipeline, src Source, opts Options, emi
 // Process runs one item through the full per-item path — resolve the
 // picture, then hand it to a Resolver (store, translate on a miss,
 // persist) — and returns its Result. Run calls it from the worker pool;
-// the jobs service calls it directly for each lease-held attempt, so both
+// the jobs service calls it directly for each claimed attempt, so both
 // execution surfaces share one store discipline (alias index, hit
 // validation, atomic persist, errors never stored).
 func Process(ctx context.Context, pipe *core.Pipeline, it Item, opts Options) Result {

@@ -29,8 +29,7 @@ const (
 	EventSnapshot    EventType = "snapshot"         // first line to every subscriber
 	EventSubmitted   EventType = "submitted"        // job accepted and journaled
 	EventResumed     EventType = "resumed"          // job picked up after a restart
-	EventClaimed     EventType = "item_claimed"     // item leased to a worker
-	EventHeartbeat   EventType = "heartbeat"        // lease extended mid-attempt
+	EventClaimed     EventType = "item_claimed"     // item handed to a worker
 	EventDone        EventType = "item_done"        // item completed (Cached: store hit/miss)
 	EventRetried     EventType = "item_retried"     // failed attempt requeued under backoff
 	EventQuarantined EventType = "item_quarantined" // attempts exhausted, item parked
@@ -51,7 +50,6 @@ type Event struct {
 	Item    string `json:"item,omitempty"`
 	Index   int    `json:"index,omitempty"`
 	Attempt int    `json:"attempt,omitempty"`
-	Epoch   uint64 `json:"epoch,omitempty"`
 	Cached  *bool  `json:"cached,omitempty"`
 	Resumed bool   `json:"resumed,omitempty"` // item ran in a crash-resumed job
 	DelayNS int64  `json:"delay_ns,omitempty"`

@@ -136,7 +136,7 @@ func TestEventsMidJob(t *testing.T) {
 }
 
 // TestEventsRetry fails one item's first attempt and expects the stream
-// to carry the retry (with attempt, epoch and backoff delay) before the
+// to carry the retry (with attempt and backoff delay) before the
 // eventual done.
 func TestEventsRetry(t *testing.T) {
 	pipe := setup(t)
@@ -168,7 +168,7 @@ func TestEventsRetry(t *testing.T) {
 			if ev.Item != "img-001" {
 				t.Errorf("retry for %s, want img-001", ev.Item)
 			}
-			if ev.Attempt != 1 || ev.Error == "" || ev.DelayNS < 0 || ev.Epoch == 0 {
+			if ev.Attempt != 1 || ev.Error == "" || ev.DelayNS < 0 {
 				t.Errorf("retry event = %+v", ev)
 			}
 			retried = true
@@ -271,7 +271,7 @@ func TestEventTruncationMarker(t *testing.T) {
 	sub := &Subscription{hub: &h, sub: raw}
 
 	for i := 0; i < subBuffer+7; i++ {
-		h.publish(Event{Type: EventHeartbeat, Job: "j", Index: i})
+		h.publish(Event{Type: EventCheckpoint, Job: "j", Index: i})
 	}
 	// Queue full: 7 newest dropped. Drain two, then publish again — the
 	// marker must precede the fresh event.
@@ -306,7 +306,7 @@ func TestEventTruncationMarker(t *testing.T) {
 	raw1, _ := h.subscribe()
 	sub1 := &Subscription{hub: &h, sub: raw1}
 	for i := 0; i < subBuffer+7; i++ {
-		h.publish(Event{Type: EventHeartbeat, Job: "j", Index: i})
+		h.publish(Event{Type: EventCheckpoint, Job: "j", Index: i})
 	}
 	if _, err := sub1.Next(ctx); err != nil {
 		t.Fatal(err)
@@ -314,8 +314,8 @@ func TestEventTruncationMarker(t *testing.T) {
 	h.publish(Event{Type: EventCheckpoint, Job: "j"})
 	for i := 1; i < subBuffer; i++ {
 		ev, err := sub1.Next(ctx)
-		if err != nil || ev.Type != EventHeartbeat || ev.Index != i {
-			t.Fatalf("event %d: %+v, %v, want heartbeat", i, ev, err)
+		if err != nil || ev.Type != EventCheckpoint || ev.Index != i {
+			t.Fatalf("event %d: %+v, %v, want checkpoint", i, ev, err)
 		}
 	}
 	h.publish(Event{Type: EventCheckpoint, Job: "j"})
@@ -332,7 +332,7 @@ func TestEventTruncationMarker(t *testing.T) {
 	raw2, _ := h.subscribe()
 	sub2 := &Subscription{hub: &h, sub: raw2}
 	for i := 0; i < subBuffer+3; i++ {
-		h.publish(Event{Type: EventHeartbeat, Job: "j", Index: i})
+		h.publish(Event{Type: EventCheckpoint, Job: "j", Index: i})
 	}
 	for i := 0; i < subBuffer; i++ {
 		if _, err := sub2.Next(ctx); err != nil {

@@ -13,10 +13,6 @@ const (
 	// or cancellation, and any other error fails the attempt immediately
 	// (a decode error, a flaky filesystem).
 	FaultItemStart FaultPoint = "item.start"
-	// FaultHeartbeat fires before every lease extension; a non-nil return
-	// skips the extension, simulating a worker whose heartbeats stopped —
-	// the signal that triggers a lease reclaim.
-	FaultHeartbeat FaultPoint = "heartbeat"
 	// FaultJournal fires before every journal checkpoint; a non-nil
 	// return fails the write (a full or read-only disk). The service
 	// keeps running on in-memory state and retries at the next
@@ -34,9 +30,9 @@ type Fault struct {
 
 // FaultHook, when non-nil, is consulted at every fault point. It is the
 // build-tag-free fault-injection seam the crash-safety tests drive:
-// decode errors, worker panics, deadline stalls, dead heartbeats and
-// journal write failures are all injected here, with no test-only code
-// in the production paths. Set it only while no service is running.
+// decode errors, worker panics, deadline stalls and journal write
+// failures are all injected here, with no test-only code in the
+// production paths. Set it only while no service is running.
 var FaultHook func(Fault) error
 
 // ErrPanic, returned from FaultHook at FaultItemStart, makes the worker

@@ -12,16 +12,16 @@
 // (power loss mid-rename, an external truncation) falls back to the last
 // good checkpoint instead of losing the job.
 //
-// Execution is lease-based: the scheduler claims a pending item by
-// marking it running with a time-bounded lease and a fencing epoch, and
-// the worker heartbeats the lease while it translates. A worker that
-// stops heartbeating — crashed, stalled, or killed with the process —
-// loses the lease; the scheduler reclaims the item, bumps the epoch (so a
-// late report from the presumed-dead worker is ignored), and requeues it
-// with capped exponential backoff plus deterministic seeded jitter.
-// After MaxAttempts failed attempts an item is quarantined with its
-// diagnostics instead of wedging the job: the job still reaches a
-// terminal state and every other item's result is served.
+// The scheduler claims a pending item by marking it running and handing
+// it to one worker, and the claim lasts as long as the process. The
+// worker always reports: a panic is recovered and a stall is cut off at
+// the per-item Timeout, both as failed attempts, which requeue with
+// capped exponential backoff plus deterministic seeded jitter. A process
+// that dies holds its claims until the next Open, which reclaims every
+// item its journal shows running. After MaxAttempts failed attempts an
+// item is quarantined with its diagnostics instead of wedging the job:
+// the job still reaches a terminal state and every other item's result
+// is served.
 //
 // Crash-safety is end to end: items are translated through
 // batch.Process, which persists each artifact to the store atomically
@@ -73,7 +73,7 @@ type ItemState string
 const (
 	// ItemPending is waiting for dispatch (possibly under a backoff gate).
 	ItemPending ItemState = "pending"
-	// ItemRunning is claimed under a lease by a worker.
+	// ItemRunning is claimed by a worker of the running process.
 	ItemRunning ItemState = "running"
 	// ItemDone has its artifact in the store.
 	ItemDone ItemState = "done"
@@ -102,8 +102,6 @@ type ItemRecord struct {
 	Diags []diag.Diagnostic `json:"diags,omitempty"`
 	// NotBefore gates the next dispatch (unix nanos; backoff).
 	NotBefore int64 `json:"not_before,omitempty"`
-	// LeaseUntil is the current lease expiry while running (unix nanos).
-	LeaseUntil int64 `json:"lease_until,omitempty"`
 }
 
 // Record is the journaled state of one job.
@@ -128,8 +126,9 @@ type Record struct {
 	Updated int64 `json:"updated_unix_ns"`
 	// Hits counts items answered from the store, Misses fresh
 	// translations, Retries requeues after a failed attempt, Reclaims
-	// expired leases taken back from presumed-dead workers. Hits+Misses
-	// can exceed the item count across crash-resume cycles.
+	// running items taken back at Open from a process that died holding
+	// them. Hits+Misses can exceed the item count across crash-resume
+	// cycles.
 	Hits     int `json:"hits"`
 	Misses   int `json:"misses"`
 	Retries  int `json:"retries"`

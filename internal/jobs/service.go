@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"tdmagic/internal/batch"
 	"tdmagic/internal/core"
@@ -27,11 +28,6 @@ type Config struct {
 	// Workers bounds concurrently executing item translations across all
 	// jobs (<= 0 means GOMAXPROCS).
 	Workers int
-	// LeaseTTL is how long a claimed item stays owned without a
-	// heartbeat before the scheduler reclaims it (default 30s).
-	LeaseTTL time.Duration
-	// Heartbeat is the lease-extension interval (default LeaseTTL/3).
-	Heartbeat time.Duration
 	// MaxAttempts quarantines an item after this many failed attempts
 	// (default 3).
 	MaxAttempts int
@@ -50,10 +46,10 @@ type Config struct {
 	MaxItems int
 	// Flight, when non-nil, receives job lifecycle events and traces
 	// every job: a "job" root span with one "job.item" child per attempt
-	// (plus the pipeline's stage spans), carrying lease extensions,
-	// backoff sleeps, retries and quarantines as span events. The trace
-	// is captured when the job's scheduler exits (truncated on capture:
-	// a 15k-item job's trace is real memory), keyed by the job ID, so
+	// (plus the pipeline's stage spans), carrying backoff sleeps, retries
+	// and quarantines as span events. The trace is captured when the
+	// job's scheduler exits (truncated on capture: a 15k-item job's trace
+	// is real memory), keyed by the job ID, so
 	// GET /debug/flight?request_id=<job> explains a job after the fact.
 	Flight *obs.Recorder
 	// Registry receives the tdjobs_ metrics; nil creates a private one.
@@ -63,12 +59,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 30 * time.Second
-	}
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = c.LeaseTTL / 3
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
 	}
@@ -136,7 +126,7 @@ type Service struct {
 }
 
 // job is one tracked job: the journaled record plus the in-memory
-// scheduling state (fencing epochs, in-flight count, wake plumbing).
+// scheduling state (in-flight count, wake plumbing).
 type job struct {
 	svc *Service
 	id  string
@@ -144,7 +134,6 @@ type job struct {
 
 	mu       sync.Mutex
 	rec      Record
-	epoch    []uint64 // per-item fencing token, bumped at claim and reclaim
 	inflight int
 	dirty    bool // last journal write failed; retry at next checkpoint
 
@@ -161,9 +150,9 @@ type job struct {
 
 // Open loads (creating if necessary) a job service rooted at dir. Jobs
 // the journal shows queued or running are resumed immediately: their
-// running items — lease holders died with the previous process — are
-// reclaimed to pending and the scheduler restarts. The store is
-// mandatory: it is what makes resume incremental.
+// running items — claimed by the previous process, which died holding
+// them — are reclaimed to pending and the scheduler restarts. The store
+// is mandatory: it is what makes resume incremental.
 func Open(dir string, pipe *core.Pipeline, st *store.Store, cfg Config) (*Service, error) {
 	if pipe == nil || st == nil {
 		return nil, errors.New("jobs: Open requires a pipeline and a store")
@@ -187,7 +176,7 @@ func Open(dir string, pipe *core.Pipeline, st *store.Store, cfg Config) (*Servic
 			itemsDone:   reg.Counter("tdjobs_items_done_total", "items completed"),
 			quarantined: reg.Counter("tdjobs_items_quarantined_total", "items parked after exhausting their attempts"),
 			retries:     reg.Counter("tdjobs_retries_total", "items requeued after a failed attempt"),
-			reclaims:    reg.Counter("tdjobs_lease_reclaims_total", "expired leases taken back from presumed-dead workers"),
+			reclaims:    reg.Counter("tdjobs_lease_reclaims_total", "running items taken back at restart from the process that died holding them"),
 			hits:        reg.Counter("tdjobs_store_hits_total", "items answered from the artifact store"),
 			misses:      reg.Counter("tdjobs_store_misses_total", "items translated fresh"),
 			journalErrs: reg.Counter("tdjobs_journal_errors_total", "failed journal checkpoints (state kept in memory, retried)"),
@@ -246,16 +235,15 @@ func (s *Service) recover() error {
 			j.park("pipeline configuration changed since submission")
 			continue
 		}
-		// Leases held by the dead process are forfeit: reclaim every
-		// running item so the restarted scheduler re-dispatches it. Any
-		// whose artifact landed before the crash answers from the store.
+		// Claims die with their process: reclaim every running item so the
+		// restarted scheduler re-dispatches it. Any whose artifact landed
+		// before the crash answers from the store.
 		j.resumed = true
 		j.span.Bool("resumed", true)
 		j.mu.Lock()
 		for i := range j.rec.Items {
 			if j.rec.Items[i].State == ItemRunning {
 				j.rec.Items[i].State = ItemPending
-				j.rec.Items[i].LeaseUntil = 0
 				j.rec.Items[i].NotBefore = 0
 				j.rec.Reclaims++
 				s.m.reclaims.Inc()
@@ -285,7 +273,6 @@ func (s *Service) track(rec *Record, dir string) *job {
 	j := &job{
 		svc: s, id: rec.ID, dir: dir,
 		rec:      *rec,
-		epoch:    make([]uint64, len(rec.Items)),
 		ctx:      ctx,
 		cancel:   cancel,
 		wake:     make(chan struct{}, 1),
@@ -321,9 +308,11 @@ type ItemSpec struct {
 
 // Submit journals a new job over the given items and starts it,
 // returning the initial snapshot. Names must be unique, safe single path
-// components (batch.SafeName); uploaded items are persisted under the
-// job directory before the job is acknowledged, so an accepted
-// submission survives an immediate crash.
+// components (batch.SafeName), and names and paths valid UTF-8 (the JSON
+// journal would rewrite other bytes, and the resumed item would open a
+// file that does not exist); uploaded items are persisted under the job
+// directory before the job is acknowledged, so an accepted submission
+// survives an immediate crash.
 func (s *Service) Submit(specs []ItemSpec) (Snapshot, error) {
 	return s.SubmitRequest("", specs)
 }
@@ -347,6 +336,9 @@ func (s *Service) SubmitRequest(requestID string, specs []ItemSpec) (Snapshot, e
 	for _, sp := range specs {
 		if err := batch.SafeName(sp.Name); err != nil {
 			return Snapshot{}, err
+		}
+		if !utf8.ValidString(sp.Name) || !utf8.ValidString(sp.Path) {
+			return Snapshot{}, fmt.Errorf("jobs: item %q: name and path must be valid UTF-8", sp.Name)
 		}
 		if seen[sp.Name] {
 			return Snapshot{}, fmt.Errorf("jobs: duplicate item name %q", sp.Name)
@@ -653,11 +645,11 @@ func (j *job) emit(ev Event) {
 		s.m.retries.Inc()
 		// One event for the retry decision, one for the backoff gate it
 		// opens — the trace shows both the failure and the sleep.
-		j.span.Event("retry", index, attempt, obs.I("epoch", int64(ev.Epoch)))
+		j.span.Event("retry", index, attempt)
 		j.span.Event("backoff", index, obs.I("delay_ns", ev.DelayNS))
 	case EventQuarantined:
 		s.m.quarantined.Inc()
-		j.span.Event("quarantine", index, attempt, obs.I("epoch", int64(ev.Epoch)))
+		j.span.Event("quarantine", index, attempt)
 		s.cfg.Flight.Event(j.id, "item_quarantined", index, attempt)
 		if l := s.cfg.Logger; l != nil {
 			l.Warn("item quarantined", slog.String("job", j.id),
@@ -706,31 +698,10 @@ func (j *job) checkpointLocked() {
 	j.emit(Event{Type: EventCheckpoint})
 }
 
-// reclaimExpiredLocked takes back items whose lease lapsed: the worker is
-// presumed dead, its epoch is fenced, and the attempt counts as failed.
-func (j *job) reclaimExpiredLocked(now time.Time) {
-	changed := false
-	for i := range j.rec.Items {
-		it := &j.rec.Items[i]
-		if it.State != ItemRunning || it.LeaseUntil == 0 || now.UnixNano() <= it.LeaseUntil {
-			continue
-		}
-		j.epoch[i]++ // a late report from the stale worker is ignored
-		j.rec.Reclaims++
-		j.svc.m.reclaims.Inc()
-		j.failLocked(i, errors.New("jobs: lease expired: worker presumed dead"), nil)
-		changed = true
-	}
-	if changed {
-		j.checkpointLocked()
-	}
-}
-
 // failLocked applies one failed attempt to an item: requeue under
 // backoff, or quarantine once the attempts are spent.
 func (j *job) failLocked(idx int, err error, ds []diag.Diagnostic) {
 	it := &j.rec.Items[idx]
-	it.LeaseUntil = 0
 	it.Error = err.Error()
 	if ds != nil {
 		it.Diags = ds
@@ -738,7 +709,7 @@ func (j *job) failLocked(idx int, err error, ds []diag.Diagnostic) {
 	if it.Attempts >= j.svc.cfg.MaxAttempts {
 		it.State = ItemQuarantined
 		j.emit(Event{Type: EventQuarantined, Item: it.Name,
-			Index: idx, Attempt: it.Attempts, Epoch: j.epoch[idx], Error: it.Error})
+			Index: idx, Attempt: it.Attempts, Error: it.Error})
 		return
 	}
 	it.State = ItemPending
@@ -746,30 +717,25 @@ func (j *job) failLocked(idx int, err error, ds []diag.Diagnostic) {
 	it.NotBefore = time.Now().Add(delay).UnixNano()
 	j.rec.Retries++
 	j.emit(Event{Type: EventRetried, Item: it.Name,
-		Index: idx, Attempt: it.Attempts, Epoch: j.epoch[idx],
+		Index: idx, Attempt: it.Attempts,
 		DelayNS: int64(delay), Error: it.Error})
 }
 
 // nextReadyLocked picks the lowest-index dispatchable item, or -1 plus
-// the next time anything becomes interesting (a backoff gate opening, a
-// lease expiring).
-func (j *job) nextReadyLocked(now time.Time) (int, time.Time) {
-	nowNs := now.UnixNano()
+// the time the next backoff gate opens.
+func (j *job) nextReadyLocked() (int, time.Time) {
+	nowNs := time.Now().UnixNano()
 	var next int64
 	for i := range j.rec.Items {
 		it := &j.rec.Items[i]
-		switch it.State {
-		case ItemPending:
-			if it.NotBefore <= nowNs {
-				return i, time.Time{}
-			}
-			if next == 0 || it.NotBefore < next {
-				next = it.NotBefore
-			}
-		case ItemRunning:
-			if it.LeaseUntil > 0 && (next == 0 || it.LeaseUntil < next) {
-				next = it.LeaseUntil
-			}
+		if it.State != ItemPending {
+			continue
+		}
+		if it.NotBefore <= nowNs {
+			return i, time.Time{}
+		}
+		if next == 0 || it.NotBefore < next {
+			next = it.NotBefore
 		}
 	}
 	if next == 0 {
@@ -778,17 +744,15 @@ func (j *job) nextReadyLocked(now time.Time) (int, time.Time) {
 	return -1, time.Unix(0, next)
 }
 
-// run is the job's scheduler loop: reclaim lapsed leases, dispatch ready
-// items onto the shared worker pool, and settle the job when every item
-// is terminal. On service drain it stops dispatching, waits for
-// in-flight attempts, checkpoints, and leaves the job resumable.
+// run is the job's scheduler loop: dispatch ready items onto the shared
+// worker pool, and settle the job when every item is terminal. On
+// service drain it stops dispatching, waits for in-flight attempts,
+// checkpoints, and leaves the job resumable.
 func (j *job) run() {
 	defer j.svc.wg.Done()
 	defer j.svc.m.jobsActive.Dec()
 	for {
 		j.mu.Lock()
-		now := time.Now()
-		j.reclaimExpiredLocked(now)
 		if j.rec.State == StateQueued {
 			j.rec.State = StateRunning
 			j.checkpointLocked()
@@ -816,7 +780,7 @@ func (j *job) run() {
 			j.finish()
 			return
 		}
-		idx, next := j.nextReadyLocked(now)
+		idx, next := j.nextReadyLocked()
 		j.mu.Unlock()
 
 		if idx < 0 {
@@ -877,9 +841,9 @@ func (j *job) sleepUntil(next time.Time) {
 	}
 }
 
-// claim marks an item running under a fresh lease and epoch and hands it
-// to a worker goroutine. The caller holds a worker-pool slot; claim
-// releases it if the item is no longer dispatchable.
+// claim marks an item running and hands it to a worker goroutine. The
+// caller holds a worker-pool slot; claim releases it if the item is no
+// longer dispatchable.
 func (j *job) claim(idx int) {
 	j.mu.Lock()
 	it := &j.rec.Items[idx]
@@ -890,27 +854,24 @@ func (j *job) claim(idx int) {
 	}
 	it.State = ItemRunning
 	it.Attempts++
-	it.LeaseUntil = time.Now().Add(j.svc.cfg.LeaseTTL).UnixNano()
-	j.epoch[idx]++
-	ep := j.epoch[idx]
 	attempt := it.Attempts
 	j.inflight++
 	j.emit(Event{Type: EventClaimed, Item: it.Name,
-		Index: idx, Attempt: attempt, Epoch: ep, Resumed: j.resumed})
+		Index: idx, Attempt: attempt, Resumed: j.resumed})
 	j.checkpointLocked()
 	j.mu.Unlock()
 	j.svc.m.inflight.Inc()
 	// Workers join the service WaitGroup (the scheduler holds it > 0, so
 	// the Add cannot race a completed Wait): Close returns only after
-	// every worker — and its heartbeat — has fully exited.
+	// every worker has fully exited.
 	j.svc.wg.Add(1)
-	go j.worker(idx, ep, attempt)
+	go j.worker(idx, attempt)
 }
 
-// worker runs one leased attempt: heartbeat the lease, translate through
-// batch.Process (store-first), and report under the fencing epoch. A
-// panicking attempt is recovered and counted as a failure.
-func (j *job) worker(idx int, ep uint64, attempt int) {
+// worker runs one attempt through batch.Process (store-first) and
+// always reports it: a panicking attempt is recovered and counted as a
+// failure, and a stalled one is cut off at the per-item Timeout.
+func (j *job) worker(idx, attempt int) {
 	defer j.svc.wg.Done()
 	defer func() {
 		<-j.svc.sem
@@ -920,14 +881,8 @@ func (j *job) worker(idx int, ep uint64, attempt int) {
 	var sp *obs.Span
 	if s := obs.StartSpan(j.ctx, "job.item"); s != nil {
 		sp = s.Int("index", int64(idx)).Int("attempt", int64(attempt)).
-			Int("epoch", int64(ep)).Bool("resumed", j.resumed)
+			Bool("resumed", j.resumed)
 	}
-	hbDone := make(chan struct{})
-	hbExited := make(chan struct{})
-	go func() {
-		defer close(hbExited)
-		j.heartbeat(idx, ep, sp, hbDone)
-	}()
 	start := time.Now()
 	res := func() (r batch.Result) {
 		defer func() {
@@ -942,46 +897,7 @@ func (j *job) worker(idx int, ep uint64, attempt int) {
 		sp.Bool("cached", res.Cached).Bool("failed", res.Err != nil)
 		sp.End()
 	}
-	close(hbDone)
-	<-hbExited
-	j.report(idx, ep, res)
-}
-
-// heartbeat extends the item's lease until the attempt returns. A
-// heartbeat suppressed by the fault hook — the stand-in for a dead
-// worker — lets the lease lapse and the scheduler reclaim the item.
-func (j *job) heartbeat(idx int, ep uint64, sp *obs.Span, done <-chan struct{}) {
-	t := time.NewTicker(j.svc.cfg.Heartbeat)
-	defer t.Stop()
-	for {
-		select {
-		case <-done:
-			return
-		case <-t.C:
-		}
-		if FaultHook != nil {
-			j.mu.Lock()
-			name := j.rec.Items[idx].Name
-			j.mu.Unlock()
-			if err := FaultHook(Fault{Point: FaultHeartbeat, Job: j.id, Item: name}); err != nil {
-				continue
-			}
-		}
-		j.mu.Lock()
-		if j.epoch[idx] == ep && j.rec.Items[idx].State == ItemRunning {
-			j.rec.Items[idx].LeaseUntil = time.Now().Add(j.svc.cfg.LeaseTTL).UnixNano()
-			j.emit(Event{Type: EventHeartbeat,
-				Item: j.rec.Items[idx].Name, Index: idx, Epoch: ep})
-			j.mu.Unlock()
-			if sp != nil {
-				// Event is the one cross-goroutine-safe span mutator, so the
-				// worker's span can record its own lease extensions.
-				sp.Event("lease_extend", obs.I("epoch", int64(ep)))
-			}
-			continue
-		}
-		j.mu.Unlock()
-	}
+	j.report(idx, res)
 }
 
 // attempt executes one translation attempt under the per-item deadline.
@@ -1028,24 +944,18 @@ func (j *job) attempt(idx, attempt int) batch.Result {
 	return res
 }
 
-// report applies an attempt's outcome under the fencing epoch: a stale
-// report (the lease was reclaimed while the worker ran) is dropped — the
-// reclaim already requeued the item, and the store's idempotent writes
-// make the duplicate execution harmless.
-func (j *job) report(idx int, ep uint64, res batch.Result) {
+// report applies an attempt's outcome. The item is still running: its
+// worker is the one writer of this claim.
+func (j *job) report(idx int, res batch.Result) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.inflight--
-	if j.epoch[idx] != ep || j.rec.Items[idx].State != ItemRunning {
-		return
-	}
 	it := &j.rec.Items[idx]
 	if res.Err != nil {
 		if j.ctx.Err() != nil && errors.Is(res.Err, context.Canceled) {
 			// Cancelled mid-flight: hand the attempt back without
 			// penalty; the item stays runnable if the job resumes.
 			it.State = ItemPending
-			it.LeaseUntil = 0
 			it.Attempts--
 			j.checkpointLocked()
 			return
@@ -1059,7 +969,6 @@ func (j *job) report(idx int, ep uint64, res batch.Result) {
 		return
 	}
 	it.State = ItemDone
-	it.LeaseUntil = 0
 	it.NotBefore = 0
 	it.Error = ""
 	it.Diags = nil
@@ -1070,7 +979,7 @@ func (j *job) report(idx int, ep uint64, res batch.Result) {
 		j.rec.Misses++
 	}
 	j.emit(Event{Type: EventDone, Item: it.Name,
-		Index: idx, Attempt: it.Attempts, Epoch: ep,
+		Index: idx, Attempt: it.Attempts,
 		Cached: &res.Cached, Resumed: j.resumed})
 	j.checkpointLocked()
 }

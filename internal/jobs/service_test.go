@@ -19,6 +19,7 @@ import (
 
 	"tdmagic/internal/core"
 	"tdmagic/internal/eval"
+	"tdmagic/internal/metrics"
 	"tdmagic/internal/store"
 	"tdmagic/internal/tdgen"
 )
@@ -83,12 +84,11 @@ func pathSpecs(paths []string) []ItemSpec {
 	return specs
 }
 
-// fastCfg returns a test config with tight timings so retries and leases
-// play out in milliseconds.
+// fastCfg returns a test config with tight timings so retries play out
+// in milliseconds.
 func fastCfg() Config {
 	return Config{
 		Workers:     2,
-		LeaseTTL:    2 * time.Second,
 		MaxAttempts: 3,
 		BackoffBase: time.Millisecond,
 		BackoffCap:  5 * time.Millisecond,
@@ -399,44 +399,46 @@ func TestDecodeErrorQuarantine(t *testing.T) {
 	}
 }
 
-// TestLeaseReclaim kills an attempt the slow way: its heartbeats are
-// suppressed and it stalls past the lease, so the scheduler must reclaim
-// the item from the presumed-dead worker, fence the worker's late
-// report, and the retry must complete the item.
+// TestLeaseReclaim opens a service over a journal in the format that
+// still carried per-item leases: the job running, and one item running
+// on attempt 1 with a lease stamped an hour ahead. The process that held
+// the claim is gone, so Open must reclaim the item whatever the stamp
+// says, and the retry must finish the job on attempt 2 with the reclaim
+// counted in the stats and on tdjobs_lease_reclaims_total.
 func TestLeaseReclaim(t *testing.T) {
 	pipe := setup(t)
 	paths := writeCorpus(t, 1)
-	setFaultHook(t, func(f Fault) error {
-		switch f.Point {
-		case FaultHeartbeat:
-			return errors.New("heartbeats suppressed")
-		case FaultItemStart:
-			if f.Attempt == 1 {
-				return ErrStall
-			}
-		}
-		return nil
-	})
-	cfg := fastCfg()
-	cfg.LeaseTTL = 80 * time.Millisecond
-	cfg.Heartbeat = 20 * time.Millisecond
-	cfg.Timeout = 700 * time.Millisecond
-	svc, _, _ := newService(t, pipe, cfg)
-	defer closeService(t, svc)
-	sn, err := svc.Submit(pathSpecs(paths))
-	if err != nil {
+	storeDir, jobsDir := t.TempDir(), t.TempDir()
+	const id = "lease-journal"
+	dir := filepath.Join(jobsDir, id)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	final := waitDone(t, svc, sn.ID)
+	journal := leaseJournal(id, pipe.ConfigHash().Hex(), paths[0], time.Now().Add(time.Hour).UnixNano())
+	if err := os.WriteFile(filepath.Join(dir, journalFile), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastCfg()
+	cfg.Registry = metrics.NewRegistry()
+	svc := reopen(t, pipe, storeDir, jobsDir, cfg)
+	defer closeService(t, svc)
+	final := waitDone(t, svc, id)
 	if final.State != StateDone {
 		t.Fatalf("state = %s (%s), want done", final.State, final.Error)
 	}
-	if final.Stats.Reclaims < 1 {
-		t.Errorf("reclaims = %d, want >= 1", final.Stats.Reclaims)
+	if final.Stats.Reclaims != 1 {
+		t.Errorf("reclaims = %d, want 1", final.Stats.Reclaims)
 	}
-	got, _ := svc.Get(sn.ID, true)
-	if got.Items[0].State != ItemDone {
-		t.Fatalf("item = %+v", got.Items[0])
+	got, _ := svc.Get(id, true)
+	if it := got.Items[0]; it.State != ItemDone || it.Attempts != 2 {
+		t.Fatalf("item = %+v, want done on attempt 2", it)
+	}
+	var buf bytes.Buffer
+	if err := cfg.Registry.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "\ntdjobs_lease_reclaims_total 1\n") {
+		t.Errorf("tdjobs_lease_reclaims_total is not 1:\n%s", buf.String())
 	}
 }
 
@@ -602,12 +604,16 @@ func TestTornJournalFallsBack(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation pins the submission guardrails.
+// TestSubmitValidation pins the submission guardrails: every refused
+// submission leaves nothing under the jobs root. Names and paths must be
+// valid UTF-8, since the JSON journal would rewrite other bytes to
+// U+FFFD and the item of a resumed job would open a file that does not
+// exist.
 func TestSubmitValidation(t *testing.T) {
 	pipe := setup(t)
 	cfg := fastCfg()
 	cfg.MaxItems = 2
-	svc, _, _ := newService(t, pipe, cfg)
+	svc, _, jobsDir := newService(t, pipe, cfg)
 	defer closeService(t, svc)
 
 	cases := []struct {
@@ -619,11 +625,21 @@ func TestSubmitValidation(t *testing.T) {
 		{"dot name", []ItemSpec{{Name: "..", Path: "x.png"}}},
 		{"duplicate names", []ItemSpec{{Name: "a", Path: "x.png"}, {Name: "a", Path: "y.png"}}},
 		{"too many items", []ItemSpec{{Name: "a", Path: "x"}, {Name: "b", Path: "y"}, {Name: "c", Path: "z"}}},
+		{"non-UTF-8 upload name", []ItemSpec{{Name: "a\xffb", Data: strings.NewReader("\x89PNG")}}},
+		{"non-UTF-8 name", []ItemSpec{{Name: "a\xffb", Path: "x.png"}}},
+		{"non-UTF-8 path", []ItemSpec{{Name: "a", Path: "a\xffb.png"}}},
 	}
 	for _, tc := range cases {
 		if _, err := svc.Submit(tc.specs); err == nil {
 			t.Errorf("%s: submission accepted", tc.name)
 		}
+	}
+	entries, err := os.ReadDir(jobsDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 || len(svc.List()) != 0 {
+		t.Errorf("refused submissions left %d entries under the jobs root and %d jobs", len(entries), len(svc.List()))
 	}
 }
 

@@ -41,7 +41,6 @@ var transitionSinks = map[string]sinks{
 	"submitted":    {flight: "job_submitted", log: "job submitted", counters: map[string]int64{"tdjobs_jobs_total": 1}},
 	"resumed":      {flight: "job_resumed", log: "job resumed", counters: map[string]int64{"tdjobs_jobs_total": 1}},
 	"item_claimed": {},
-	"heartbeat":    {},
 	"item_retried": {spans: []string{"retry", "backoff"}, counters: map[string]int64{"tdjobs_retries_total": 1}},
 	"item_quarantined": {flight: "item_quarantined", spans: []string{"quarantine"}, log: "item quarantined",
 		counters: map[string]int64{"tdjobs_items_quarantined_total": 1}},
@@ -204,8 +203,6 @@ func TestLifecycleSinks(t *testing.T) {
 	}
 
 	var (
-		beat       = make(chan struct{}) // closed by the miss item's one heartbeat
-		beaten     atomic.Bool
 		drainSvc   atomic.Pointer[Service] // drained by drain-a's attempt
 		drained    = make(chan error, 1)
 		resumeGate = make(chan struct{}) // holds drain-b until the resumed stream attaches
@@ -220,18 +217,8 @@ func TestLifecycleSinks(t *testing.T) {
 	}
 	setFaultHook(t, func(f Fault) error {
 		switch {
-		case f.Point == FaultHeartbeat:
-			// Exactly one lease extension, on the miss item; the rest are
-			// skipped so heartbeat events stay deterministic.
-			if f.Item == "miss" && beaten.CompareAndSwap(false, true) {
-				close(beat)
-				return nil
-			}
-			return errors.New("heartbeat skipped")
 		case f.Point != FaultItemStart:
 			return nil
-		case f.Item == "miss":
-			return wait(beat)
 		case f.Item == "retry" && f.Attempt == 1, f.Item == "poison":
 			return errors.New("injected failure")
 		case f.Item == "drain-a":
@@ -271,8 +258,8 @@ func TestLifecycleSinks(t *testing.T) {
 		drive func(*testing.T, *sinkHarness) (string, [][]Event)
 		want  [][]string // per service generation, every event the job published
 	}{
-		{"store miss with heartbeat", single("miss", paths[1]), [][]string{{
-			"submitted", "checkpoint", "item_claimed miss", "checkpoint", "heartbeat miss",
+		{"store miss", single("miss", paths[1]), [][]string{{
+			"submitted", "checkpoint", "item_claimed miss", "checkpoint",
 			"item_done/miss miss", "checkpoint", "checkpoint", "state/done",
 		}}},
 		{"store hit", single("hit", paths[0]), [][]string{{
@@ -348,8 +335,6 @@ func TestLifecycleSinks(t *testing.T) {
 			cfg := fastCfg()
 			cfg.Workers = 1
 			cfg.MaxAttempts = 2
-			cfg.LeaseTTL = time.Minute
-			cfg.Heartbeat = 5 * time.Millisecond
 			cfg.Flight = obs.NewRecorder(obs.RecorderConfig{})
 			cfg.Registry = metrics.NewRegistry()
 			logs := &logCapture{msgs: map[string][]string{}}

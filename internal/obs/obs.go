@@ -45,9 +45,9 @@ type Attr struct {
 	Val int64  `json:"val"`
 }
 
-// SpanEvent is one timestamped point event inside a span: a lease
-// extension, a backoff sleep, a decode-progress tick. Events carry the
-// same integer attributes as spans so the export stays byte-stable.
+// SpanEvent is one timestamped point event inside a span: a retry, a
+// backoff sleep, a decode-progress tick. Events carry the same integer
+// attributes as spans so the export stays byte-stable.
 type SpanEvent struct {
 	Name  string        `json:"name"`
 	At    time.Duration `json:"-"` // offset from the trace epoch
@@ -57,9 +57,9 @@ type SpanEvent struct {
 // Span is one timed operation inside a trace. Fields are exported for
 // inspection after collection; mutate spans only through
 // Int/Bool/Event/End. Int/Bool/End are single-goroutine (the span
-// owner's); Event alone may be called from other goroutines (a
-// heartbeat extending a lease while the worker runs) — it serialises
-// on the trace mutex.
+// owner's); Event alone may be called from other goroutines (a job
+// worker recording a retry on the job's root span) — it serialises on
+// the trace mutex.
 type Span struct {
 	ID     uint64        // deterministic, derived from the request ID
 	Parent uint64        // 0 for a root span
@@ -194,7 +194,7 @@ func (s *Span) Bool(key string, v bool) *Span {
 // Event records a timestamped point event on the span. Unlike
 // Int/Bool, Event is safe to call from a goroutine other than the
 // span's owner (appends are serialised on the trace mutex), which is
-// what lease-extension heartbeats need. Nil-safe.
+// what job workers reporting onto the job's root span need. Nil-safe.
 func (s *Span) Event(name string, attrs ...Attr) {
 	if s == nil {
 		return

@@ -20,8 +20,8 @@ import (
 
 // The durable job API. Where /v1/translate answers inline under a
 // deadline, /v1/jobs accepts a corpus, journals it, and answers 202: the
-// job service translates it asynchronously with leases, retries and
-// crash-safe resume, and the client polls status and streams results.
+// job service translates it asynchronously with retries and crash-safe
+// resume, and the client polls status and streams results.
 //
 //	POST   /v1/jobs              multipart PNG parts, or JSON {"manifest": [paths]}
 //	GET    /v1/jobs              list jobs
@@ -227,12 +227,11 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 // handleJobEvents streams a job's live lifecycle as NDJSON: a snapshot
 // line first (?items=1 adds per-item states to it), then every event as
-// it happens — claims, heartbeats, retries with backoff delays,
-// quarantines, store hit/miss on completion, checkpoints, the terminal
-// state — each line flushed immediately. The stream ends (EOF) when the
-// job's scheduler exits: terminal completion or a shutdown drain; a
-// watcher reconnects after a restart and the fresh snapshot shows the
-// resumed position. A subscriber that reads too slowly loses the newest
+// it happens — claims, retries with backoff delays, quarantines, store
+// hit/miss on completion, checkpoints, the terminal state — each line
+// flushed immediately. The stream ends (EOF) when the job's scheduler
+// exits: terminal completion or a shutdown drain; a watcher reconnects
+// after a restart and the fresh snapshot shows the resumed position. A subscriber that reads too slowly loses the newest
 // events and sees an in-band {"type":"truncated","dropped":N} marker at
 // the gap, so a stalled consumer can never wedge the job service.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, id string) {

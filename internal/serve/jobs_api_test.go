@@ -31,6 +31,13 @@ func newJobsServer(t *testing.T, jcfg jobs.Config, manifestRoot string) (*Server
 // config (upload limits, manifest root) before the server starts.
 func newJobsServerCfg(t *testing.T, jcfg jobs.Config, mutate func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
+	return newJobsServerAt(t, t.TempDir(), jcfg, mutate)
+}
+
+// newJobsServerAt is newJobsServerCfg with the job journal rooted at
+// jobsDir, for tests that inspect what a request left on disk.
+func newJobsServerAt(t *testing.T, jobsDir string, jcfg jobs.Config, mutate func(*Config)) (*Server, *httptest.Server) {
+	t.Helper()
 	pipe, _ := fixture(t)
 	pipe.Metrics = nil
 	st, err := store.Open(t.TempDir())
@@ -42,7 +49,7 @@ func newJobsServerCfg(t *testing.T, jcfg jobs.Config, mutate func(*Config)) (*Se
 	if jcfg.BackoffBase == 0 {
 		jcfg.BackoffBase = time.Millisecond
 	}
-	js, err := jobs.Open(t.TempDir(), pipe, st, jcfg)
+	js, err := jobs.Open(jobsDir, pipe, st, jcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +209,12 @@ func TestJobsEndToEnd(t *testing.T) {
 }
 
 // TestJobsSubmissionGuardrails pins the rejection paths: traversal part
-// names, non-PNG parts, manifest submissions when disabled, and manifest
-// paths escaping the root.
+// names, non-UTF-8 part names, non-PNG parts, manifest submissions when
+// disabled, and manifest paths escaping the root. No refusal leaves
+// anything under the jobs root.
 func TestJobsSubmissionGuardrails(t *testing.T) {
-	_, ts := newJobsServer(t, jobs.Config{Workers: 1}, "")
+	jobsDir := t.TempDir()
+	_, ts := newJobsServerAt(t, jobsDir, jobs.Config{Workers: 1}, nil)
 	_, val := fixture(t)
 	png := pngBytes(t, val[0])
 
@@ -227,6 +236,13 @@ func TestJobsSubmissionGuardrails(t *testing.T) {
 	if got := post(body, ctype); got != http.StatusBadRequest {
 		t.Errorf("traversal part name accepted: %d", got)
 	}
+	// mime/multipart hands a non-UTF-8 file name through unchanged; the
+	// JSON journal would rewrite it, and a resumed job could never open
+	// the saved picture.
+	body, ctype = multipartJob(t, []string{"a\xffb.png"}, [][]byte{png})
+	if got := post(body, ctype); got != http.StatusBadRequest {
+		t.Errorf("non-UTF-8 part name accepted: %d", got)
+	}
 	body, ctype = multipartJob(t, []string{"ok.png"}, [][]byte{[]byte("not a png")})
 	if got := post(body, ctype); got != http.StatusBadRequest {
 		t.Errorf("non-PNG part accepted: %d", got)
@@ -236,6 +252,9 @@ func TestJobsSubmissionGuardrails(t *testing.T) {
 	}
 	if got := post(bytes.NewBufferString(`{"manifest":[]}`), "application/json"); got != http.StatusBadRequest {
 		t.Errorf("empty submission accepted: %d", got)
+	}
+	if entries, err := os.ReadDir(jobsDir); err != nil || len(entries) != 0 {
+		t.Errorf("refused submissions left %d entries under the jobs root (%v)", len(entries), err)
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/nonexistent")

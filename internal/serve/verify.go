@@ -158,6 +158,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			}
 			raw, err := io.ReadAll(io.LimitReader(part, 256))
 			if err != nil {
+				s.badRequests.Inc()
 				s.writeError(w, http.StatusBadRequest, "read ref part: "+err.Error(), nil)
 				return
 			}

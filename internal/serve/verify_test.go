@@ -384,7 +384,7 @@ func TestVerifyConcurrentSharedPipeline(t *testing.T) {
 
 // TestVerifyRequestValidation pins the 4xx surface of the endpoint.
 func TestVerifyRequestValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	s, ts := newTestServer(t, Config{Workers: 2})
 	defer ts.Close()
 	png, p, _ := goldenSample(t, ts.URL)
 	clean := synthVCD(t, p, "", 0)
@@ -411,6 +411,25 @@ func TestVerifyRequestValidation(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("cut ref", func(t *testing.T) {
+		// The body ends inside the ref part, before its closing boundary.
+		ref := []byte("00112233445566778899aabbccddeeff")
+		body, ctype := verifyBody(t, []vpart{{"ref", ref}})
+		cut := body.Bytes()[:bytes.Index(body.Bytes(), ref)+len(ref)/2]
+		bad := s.badRequests.Value()
+		resp, err := http.Post(ts.URL+"/v1/verify", ctype, bytes.NewReader(cut))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := readBody(t, resp)
+		if want := `{"error":"read ref part: unexpected EOF"}` + "\n"; resp.StatusCode != http.StatusBadRequest || string(got) != want {
+			t.Fatalf("status %d body %q, want 400 %q", resp.StatusCode, got, want)
+		}
+		if d := s.badRequests.Value() - bad; d != 1 {
+			t.Errorf("tdserve_bad_requests_total rose by %d, want 1", d)
+		}
+	})
 
 	t.Run("not multipart", func(t *testing.T) {
 		resp, err := http.Post(ts.URL+"/v1/verify", "application/json", bytes.NewReader([]byte("{}")))
