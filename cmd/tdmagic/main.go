@@ -26,8 +26,9 @@
 //
 // -verify closes the loop from picture to runtime verification: the
 // translated SPO becomes the specification, -delays supplies the
-// admissible bounds per timing parameter (JSON, either a bare
-// {"t_x": {"min":..,"max":..}} map or {"delays": {...}}), and the -vcd
+// datasheet's side of it (the /v1/verify delays document, {"delays":
+// {...}, "min_swing_frac": .., "threshold_fracs": {...}}, or a bare
+// {"t_x": {"min":..,"max":..}} map of bounds alone), and the -vcd
 // dump is streamed through the incremental monitor — one verdict line
 // per constraint, exit status 1 on any violation. -synth-vcd writes a
 // value-change dump synthesized to satisfy the specification, handy as a
@@ -39,7 +40,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"image/png"
@@ -77,7 +77,7 @@ func main() {
 		batchW      = flag.Int("batch-workers", 0, "with -batch: concurrent translations (0 = GOMAXPROCS)")
 		doVerify    = flag.Bool("verify", false, "verify the -vcd dump against the translated specification; exit 1 on violation")
 		vcdPath     = flag.String("vcd", "", "with -verify: Verilog value-change dump of the signals under test")
-		delaysPath  = flag.String("delays", "", "JSON file with admissible delay bounds per timing parameter")
+		delaysPath  = flag.String("delays", "", "JSON file with admissible delay bounds per timing parameter (the /v1/verify delays document)")
 		synthVCD    = flag.String("synth-vcd", "", "write a VCD dump synthesized to satisfy the translated specification to this file")
 		timescale   = flag.String("timescale", "1ms", "VCD timescale for -synth-vcd and for interpreting verdict times")
 		watchURL    = flag.String("watch", "", "follow a tdserve job's live event stream by its URL (http://host:port/v1/jobs/<id>) and render a progress line; exits 0 when the job is done, 1 when it fails or is cancelled")
@@ -189,13 +189,19 @@ func main() {
 // specification. -synth-vcd writes a satisfying dump; -verify streams the
 // -vcd dump through the incremental monitor and exits 1 on any violation.
 func runVerify(ctx context.Context, p *spo.SPO, vcdPath, delaysPath, synthOut, timescale string, doVerify bool) {
-	mspec := &monitor.Spec{SPO: p}
+	mspec := &monitor.Spec{}
 	if delaysPath != "" {
-		var err error
-		if mspec.Delays, err = loadDelays(delaysPath); err != nil {
+		f, err := os.Open(delaysPath)
+		if err != nil {
 			log.Fatal(err)
 		}
+		mspec, err = monitor.DecodeDelays(f)
+		f.Close()
+		if err != nil {
+			log.Fatalf("parse delays %s: %v", delaysPath, err)
+		}
 	}
+	mspec.SPO = p
 	if synthOut != "" {
 		tr, err := monitor.SynthesizeTrace(mspec, 0)
 		if err != nil {
@@ -250,27 +256,6 @@ func printVerdict(v monitor.Verdict) {
 		return
 	}
 	fmt.Printf("VIOLATION #%d %-12s %s\n", v.Index, label, v.Reason)
-}
-
-// loadDelays reads the admissible-bounds JSON: either a bare
-// {"t_x": {"min":..,"max":..}} map or a {"delays": {...}} wrapper (the
-// /v1/verify wire format).
-func loadDelays(path string) (map[string]monitor.Bounds, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var wrapped struct {
-		Delays map[string]monitor.Bounds `json:"delays"`
-	}
-	if err := json.Unmarshal(raw, &wrapped); err == nil && wrapped.Delays != nil {
-		return wrapped.Delays, nil
-	}
-	var bare map[string]monitor.Bounds
-	if err := json.Unmarshal(raw, &bare); err != nil {
-		return nil, fmt.Errorf("parse delays %s: %w", path, err)
-	}
-	return bare, nil
 }
 
 // writeTraces persists the recorded span trace in the requested formats.

@@ -11,6 +11,7 @@ import (
 
 	"tdmagic/internal/core"
 	"tdmagic/internal/imgproc"
+	"tdmagic/internal/obs"
 	"tdmagic/internal/sei"
 	"tdmagic/internal/store"
 )
@@ -147,6 +148,7 @@ func (r *Resolver) Lookup(input store.Hash) (Resolved, error) {
 // input. On success the artifact is marshalled once, persisted and put
 // in the LRU; a failed Put leaves Stored false but is no error, so a full
 // disk degrades to recomputation. A failure still returns the report.
+// The encode and the Put are the "core.encode" and "store.put" layers.
 func (r *Resolver) Translate(ctx context.Context, input store.Hash, img *imgproc.Gray) (Resolved, error) {
 	out := r.pipe.TranslateAllCtx(ctx, []*imgproc.Gray{img}, core.BatchOptions{Workers: 1, Timeout: r.timeout})[0]
 	res := Resolved{Input: input, Rep: out.Rep}
@@ -163,13 +165,17 @@ func (r *Resolver) Translate(ctx context.Context, input store.Hash, img *imgproc
 			}
 		}
 	}
+	l := obs.Begin(ctx, "core.encode", nil)
 	body, err := json.Marshal(a)
+	l.End()
 	if err != nil {
 		return res, fmt.Errorf("batch: encode artifact: %w", err)
 	}
 	res.Body, res.Artifact, res.Refused = body, a, core.InputRefused(out.Rep)
 	if r.st != nil {
+		l := obs.Begin(ctx, "store.put", nil)
 		res.Stored = r.st.Put(r.cfg, input, body) == nil
+		l.End()
 	}
 	r.keep(res)
 	return res, nil

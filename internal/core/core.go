@@ -9,14 +9,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"tdmagic/internal/dataset"
 	"tdmagic/internal/diag"
 	"tdmagic/internal/geom"
 	"tdmagic/internal/imgproc"
 	"tdmagic/internal/lad"
-	"tdmagic/internal/obs"
 	"tdmagic/internal/ocr"
 	"tdmagic/internal/parallel"
 	"tdmagic/internal/sed"
@@ -203,56 +201,36 @@ func (p *Pipeline) Translate(img *imgproc.Gray) (*spo.SPO, *Report, error) {
 
 // TranslateContext is Translate under a context: the perception stages
 // check ctx cooperatively, so a deadline or cancellation stops the
-// translation within one stage pass and surfaces as ctx's error.
+// translation within one stage pass and surfaces as ctx's error. The
+// translation is the "core.translate" layer with one layer per stage
+// under it, each feeding its span (traced ctx) and histogram (metrics).
 func (p *Pipeline) TranslateContext(ctx context.Context, img *imgproc.Gray) (out *spo.SPO, rep *Report, err error) {
 	if p.Metrics != nil {
 		p.Metrics.IntraWorkers.Set(int64(p.intraWorkers()))
-		ref := obs.RequestIDFrom(ctx) // "" when tracing is disabled: plain observe
-		start := time.Now()
-		defer func() {
-			p.Metrics.observe(time.Since(start), rep, err, ref)
-		}()
 	}
-	return p.translateContext(ctx, img)
-}
-
-// translateContext is TranslateContext without the metrics wrapper. When
-// ctx carries an obs trace (or span) it records a "translate" root span
-// with the four stage spans nested under it; with no trace attached the
-// instrumentation is allocation-free (sp stays nil and every obs call
-// no-ops). The explicit `if sp != nil` blocks — rather than deferred
-// closures — are what keep the disabled path at zero allocations.
-func (p *Pipeline) translateContext(ctx context.Context, img *imgproc.Gray) (*spo.SPO, *Report, error) {
-	sp := obs.StartSpan(ctx, "translate")
-	if ds := validateInput(img); ds != nil {
-		if sp != nil {
-			sp.Bool("refused", true).Int("diags", int64(len(ds)))
-			sp.End()
+	l := p.layer(ctx, "core.translate")
+	defer func() {
+		if rep != nil {
+			l.Int("diags", int64(len(rep.Diags)))
 		}
-		rep := &Report{Diags: ds}
+		l.Bool("error", err != nil)
+		l.End()
+		p.Metrics.observe(rep, err)
+	}()
+	if ds := validateInput(img); ds != nil {
+		l.Bool("refused", true)
+		rep = &Report{Diags: ds}
 		if p.Strict {
 			return nil, rep, fmt.Errorf("core: %s", ds[0].Message)
 		}
 		return &spo.SPO{}, rep, nil
 	}
-	if sp != nil {
-		sp.Int("width", int64(img.W)).Int("height", int64(img.H))
-		ctx = obs.ContextWithSpan(ctx, sp)
-	}
-	rep, err := p.analyzeStagesCtx(ctx, img, true)
-	if err != nil {
-		if sp != nil {
-			sp.Bool("error", true)
-			sp.End()
-		}
+	l.Int("width", int64(img.W)).Int("height", int64(img.H))
+	ctx = l.Context(ctx)
+	if rep, err = p.analyzeStagesCtx(ctx, img, true); err != nil {
 		return nil, rep, err
 	}
-	out, rep, err := p.interpret(ctx, img, rep, rep.Edges)
-	if sp != nil {
-		sp.Int("diags", int64(len(rep.Diags))).Bool("error", err != nil)
-		sp.End()
-	}
-	return out, rep, err
+	return p.interpret(ctx, img, rep, rep.Edges)
 }
 
 // TranslateWithEdges runs LAD + OCR + SEI with externally supplied edge
@@ -278,8 +256,7 @@ func (p *Pipeline) TranslateWithEdges(img *imgproc.Gray, edges []sed.Detection) 
 // interpret runs SEI over a perception report and threads the semantic
 // diagnostics onto it.
 func (p *Pipeline) interpret(ctx context.Context, img *imgproc.Gray, rep *Report, edges []sed.Detection) (*spo.SPO, *Report, error) {
-	sp := obs.StartSpan(ctx, "sei")
-	t0 := time.Now()
+	l := p.layer(ctx, "sei.interpret")
 	cfg := p.SEICfg
 	cfg.Strict = p.Strict
 	out, err := sei.Interpret(sei.Input{
@@ -289,23 +266,16 @@ func (p *Pipeline) interpret(ctx context.Context, img *imgproc.Gray, rep *Report
 		Lines:  rep.Lines,
 		Texts:  rep.Texts,
 	}, cfg)
-	if p.Metrics != nil {
-		p.Metrics.StageSEI.Observe(time.Since(t0).Seconds())
-	}
 	if err != nil {
-		if sp != nil {
-			sp.Bool("error", true)
-			sp.End()
-		}
+		l.Bool("error", true)
+		l.End()
 		return nil, rep, err
 	}
-	if sp != nil {
-		sp.Int("events", int64(len(out.Events))).
-			Int("nodes", int64(len(out.SPO.Nodes))).
-			Int("constraints", int64(len(out.SPO.Constraints))).
-			Int("diags", int64(len(out.Diags)))
-		sp.End()
-	}
+	l.Int("events", int64(len(out.Events))).
+		Int("nodes", int64(len(out.SPO.Nodes))).
+		Int("constraints", int64(len(out.SPO.Constraints))).
+		Int("diags", int64(len(out.Diags)))
+	l.End()
 	rep.SEI = out
 	rep.Diags = append(rep.Diags, out.Diags...)
 	return out.SPO, rep, nil
@@ -322,7 +292,7 @@ func (p *Pipeline) Analyze(img *imgproc.Gray) *Report {
 
 // analyzeStagesCtx binarises the picture, runs LAD, then SED and OCR
 // concurrently. The picture is binarised exactly once here in core — its
-// own "binarize" span and stage metric, tiled over intraWorkers goroutines
+// own "imgproc.binarize" layer, tiled over intraWorkers goroutines
 // — and both LAD and the downstream stages read the shared packed image
 // (and the contour result) without mutating either, so they are free to
 // overlap; the text/edge cross-check runs after the join and the report is
@@ -335,42 +305,28 @@ func (p *Pipeline) Analyze(img *imgproc.Gray) *Report {
 // a context error) aborts the translation.
 func (p *Pipeline) analyzeStagesCtx(ctx context.Context, img *imgproc.Gray, runSED bool) (*Report, error) {
 	w := p.intraWorkers()
-	spBin := obs.StartSpan(ctx, "binarize")
-	t0 := time.Now()
+	l := p.layer(ctx, "imgproc.binarize")
 	thr := p.LADCfg.Threshold
 	if thr == 0 {
 		thr = imgproc.OtsuThresholdW(img, w)
 	}
 	bw := imgproc.ThresholdW(img, thr, w)
-	if p.Metrics != nil {
-		p.Metrics.StageBinarize.Observe(time.Since(t0).Seconds())
-	}
-	if spBin != nil {
-		spBin.Int("threshold", int64(thr))
-		spBin.End()
-	}
+	l.Int("threshold", int64(thr))
+	l.End()
 	if err := ctx.Err(); err != nil {
 		return &Report{}, err
 	}
-	spLAD := obs.StartSpan(ctx, "lad")
-	t0 = time.Now()
+	l = p.layer(ctx, "lad.detect")
 	ladCfg := p.LADCfg
 	ladCfg.Workers = w
 	lines, err := lad.DetectBinaryCtx(ctx, bw, ladCfg)
-	if p.Metrics != nil {
-		p.Metrics.StageLAD.Observe(time.Since(t0).Seconds())
-	}
 	if err != nil {
-		if spLAD != nil {
-			spLAD.Bool("error", true)
-			spLAD.End()
-		}
+		l.Bool("error", true)
+		l.End()
 		return &Report{}, err
 	}
-	if spLAD != nil {
-		spLAD.Int("v_contours", int64(len(lines.V))).Int("h_contours", int64(len(lines.H)))
-		spLAD.End()
-	}
+	l.Int("v_contours", int64(len(lines.V))).Int("h_contours", int64(len(lines.H)))
+	l.End()
 	rep := &Report{Lines: lines}
 	if frac := float64(lines.BW.Count()) / float64(img.W*img.H); frac > 0.5 {
 		rep.Diags = append(rep.Diags, diag.New(diag.StageLAD, diag.Warning,
@@ -386,31 +342,19 @@ func (p *Pipeline) analyzeStagesCtx(ctx context.Context, img *imgproc.Gray, runS
 			defer wg.Done()
 			// SED runs concurrently with OCR; its span is a sibling of
 			// OCR's under the same parent, recorded goroutine-safely.
-			sp := obs.StartSpan(ctx, "sed")
-			t0 := time.Now()
+			l := p.layer(ctx, "sed.detect")
 			edges, sedErr = p.SED.DetectCtxW(ctx, img, lines, w)
-			if p.Metrics != nil {
-				p.Metrics.StageSED.Observe(time.Since(t0).Seconds())
-			}
-			if sp != nil {
-				sp.Int("edge_boxes", int64(len(edges))).Bool("error", sedErr != nil)
-				sp.End()
-			}
+			l.Int("edge_boxes", int64(len(edges))).Bool("error", sedErr != nil)
+			l.End()
 		}()
 	}
 	if p.OCR != nil {
-		sp := obs.StartSpan(ctx, "ocr")
-		t0 := time.Now()
+		l := p.layer(ctx, "ocr.read")
 		ocrCfg := p.OCRCfg
 		ocrCfg.Workers = w
 		texts, ocrErr := p.OCR.ReadAllCtx(ctx, lines.BW, lines, ocrCfg)
-		if p.Metrics != nil {
-			p.Metrics.StageOCR.Observe(time.Since(t0).Seconds())
-		}
-		if sp != nil {
-			sp.Int("text_boxes", int64(len(texts))).Bool("error", ocrErr != nil)
-			sp.End()
-		}
+		l.Int("text_boxes", int64(len(texts))).Bool("error", ocrErr != nil)
+		l.End()
 		if ocrErr != nil {
 			if runSED {
 				wg.Wait()

@@ -3,10 +3,10 @@ package core
 import (
 	"context"
 	"errors"
-	"time"
 
 	"tdmagic/internal/diag"
 	"tdmagic/internal/metrics"
+	"tdmagic/internal/obs"
 )
 
 // PipelineMetrics bundles the translation-level counters every execution
@@ -35,54 +35,65 @@ type PipelineMetrics struct {
 	Diagnostics *metrics.Counter
 	// Latency is the wall-clock distribution of TranslateContext calls.
 	Latency *metrics.Histogram
-	// StageBinarize/StageLAD/StageSED/StageOCR/StageSEI are the per-stage
-	// wall-clock distributions, exposed as one tdmagic_stage_seconds
-	// histogram vector labelled
-	// stage="binarize"|"lad"|"sed"|"ocr"|"sei". SED and OCR overlap, so
+	// Layers maps each pipeline layer to the histogram it feeds:
+	// "core.translate" to Latency, each stage (see stageLayers) to its
+	// series of the tdmagic_stage_seconds vector. SED and OCR overlap, so
 	// their sums can exceed tdmagic_translate_seconds.
-	StageBinarize *metrics.Histogram
-	StageLAD      *metrics.Histogram
-	StageSED      *metrics.Histogram
-	StageOCR      *metrics.Histogram
-	StageSEI      *metrics.Histogram
+	Layers map[string]*metrics.Histogram
 	// IntraWorkers exports the pipeline's resolved intra-image worker
 	// count, so a scrape can tell whether a deployment runs the kernels
 	// tiled or sequentially.
 	IntraWorkers *metrics.Gauge
 }
 
+// stageLayers pairs each pipeline stage's layer name, the name tdbench
+// reports it under, with its tdmagic_stage_seconds label
+// (stage="binarize"|"lad"|"sed"|"ocr"|"sei").
+var stageLayers = [...][2]string{
+	{"imgproc.binarize", "binarize"},
+	{"lad.detect", "lad"},
+	{"sed.detect", "sed"},
+	{"ocr.read", "ocr"},
+	{"sei.interpret", "sei"},
+}
+
 // NewPipelineMetrics registers the translation metric bundle on reg under
 // the tdmagic_ prefix and returns it.
 func NewPipelineMetrics(reg *metrics.Registry) *PipelineMetrics {
-	return &PipelineMetrics{
-		Translations:  reg.Counter("tdmagic_translations_total", "completed translations"),
-		Failures:      reg.Counter("tdmagic_translate_failures_total", "translations that returned an error"),
-		Timeouts:      reg.Counter("tdmagic_translate_timeouts_total", "translations cancelled by a deadline"),
-		Panics:        reg.Counter("tdmagic_translate_panics_total", "batch items recovered from a panic"),
-		Diagnostics:   reg.Counter("tdmagic_translate_diags_total", "degradation diagnostics emitted"),
-		Latency:       reg.Histogram("tdmagic_translate_seconds", "translation wall-clock latency", nil),
-		StageBinarize: stageHistogram(reg, "binarize"),
-		StageLAD:      stageHistogram(reg, "lad"),
-		StageSED:      stageHistogram(reg, "sed"),
-		StageOCR:      stageHistogram(reg, "ocr"),
-		StageSEI:      stageHistogram(reg, "sei"),
-		IntraWorkers:  reg.Gauge("tdmagic_intra_workers", "resolved intra-image worker count"),
+	m := &PipelineMetrics{
+		Translations: reg.Counter("tdmagic_translations_total", "completed translations"),
+		Failures:     reg.Counter("tdmagic_translate_failures_total", "translations that returned an error"),
+		Timeouts:     reg.Counter("tdmagic_translate_timeouts_total", "translations cancelled by a deadline"),
+		Panics:       reg.Counter("tdmagic_translate_panics_total", "batch items recovered from a panic"),
+		Diagnostics:  reg.Counter("tdmagic_translate_diags_total", "degradation diagnostics emitted"),
+		Latency:      reg.Histogram("tdmagic_translate_seconds", "translation wall-clock latency", nil),
+		IntraWorkers: reg.Gauge("tdmagic_intra_workers", "resolved intra-image worker count"),
 	}
+	m.Layers = map[string]*metrics.Histogram{"core.translate": m.Latency}
+	for _, s := range stageLayers {
+		m.Layers[s[0]] = reg.LabeledHistogram("tdmagic_stage_seconds", `stage="`+s[1]+`"`,
+			"per-stage wall-clock latency", nil)
+	}
+	return m
 }
 
-// stageHistogram registers one series of the tdmagic_stage_seconds vector.
-func stageHistogram(reg *metrics.Registry, stage string) *metrics.Histogram {
-	return reg.LabeledHistogram("tdmagic_stage_seconds", `stage="`+stage+`"`,
-		"per-stage wall-clock latency", nil)
+// layer begins the pipeline layer name, feeding its histogram when p
+// has metrics.
+func (p *Pipeline) layer(ctx context.Context, name string) obs.Layer {
+	var h *metrics.Histogram
+	if p.Metrics != nil {
+		h = p.Metrics.Layers[name]
+	}
+	return obs.Begin(ctx, name, h)
 }
 
-// observe records one finished translation. ref — the request ID when
-// the translation ran under a trace, "" otherwise — becomes the latency
-// histogram's bucket exemplar, linking a latency spike back to the
-// flight-recorder entry that explains it.
-func (m *PipelineMetrics) observe(d time.Duration, rep *Report, err error, ref string) {
+// observe counts one finished translation (its latency went to Latency
+// through the core.translate layer). Nil-safe.
+func (m *PipelineMetrics) observe(rep *Report, err error) {
+	if m == nil {
+		return
+	}
 	m.Translations.Inc()
-	m.Latency.ObserveExemplar(d.Seconds(), ref)
 	if err != nil {
 		m.Failures.Inc()
 		if errors.Is(err, context.DeadlineExceeded) {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tdmagic/internal/metrics"
 	"tdmagic/internal/obs"
@@ -26,14 +27,14 @@ func TestTraceSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := tr.Export()
-	root := e.Span("translate")
+	root := e.Span("core.translate")
 	if root == nil {
-		t.Fatal("no translate root span")
+		t.Fatal("no core.translate root span")
 	}
 	if root.Parent != 0 {
 		t.Errorf("root span has parent %d", root.Parent)
 	}
-	for _, stage := range []string{"lad", "sed", "ocr", "sei"} {
+	for _, stage := range []string{"lad.detect", "sed.detect", "ocr.read", "sei.interpret"} {
 		sp := e.Span(stage)
 		if sp == nil {
 			t.Errorf("missing %s span", stage)
@@ -49,7 +50,7 @@ func TestTraceSpans(t *testing.T) {
 	}
 	// Stage attributes carry the detector counts.
 	var attrs []string
-	for _, a := range e.Span("lad").Attrs {
+	for _, a := range e.Span("lad.detect").Attrs {
 		attrs = append(attrs, a.Key)
 	}
 	if !strings.Contains(strings.Join(attrs, ","), "v_contours") {
@@ -58,35 +59,90 @@ func TestTraceSpans(t *testing.T) {
 }
 
 // TestDisabledTracingZeroAllocOnHotPath is the AllocsPerRun guard of the
-// zero-alloc-when-disabled contract: it runs the exact obs call sequence
-// the Translate hot path performs — root StartSpan, conditional context
-// wrap, one nil-guarded span per stage with attribute records — on a
-// context with no trace attached, and requires zero allocations. core's
-// instrumentation uses explicit `if sp != nil` blocks instead of deferred
-// closures precisely to keep this at zero; an allocating pattern slipped
-// into the sequence fails here.
+// zero-alloc-when-disabled contract: it runs the obs call sequence the
+// Translate hot path performs — the core.translate layer, its context
+// wrap, one layer per stage with attribute records, the root's
+// attributes — on a context with no trace attached, once without
+// histograms and once with them (the metrics-on translation untraced),
+// and requires zero allocations either way. An allocating pattern
+// slipped into the sequence fails here.
 func TestDisabledTracingZeroAllocOnHotPath(t *testing.T) {
-	ctx := context.Background()
-	stages := [...]string{"lad", "sed", "ocr", "sei"}
-	allocs := testing.AllocsPerRun(1000, func() {
-		root := obs.StartSpan(ctx, "translate")
-		if root != nil {
-			ctx = obs.ContextWithSpan(ctx, root)
-		}
-		for _, stage := range stages {
-			sp := obs.StartSpan(ctx, stage)
-			if sp != nil {
-				sp.Int("boxes", 0).Bool("error", false)
-				sp.End()
+	stages := [...]string{"imgproc.binarize", "lad.detect", "sed.detect", "ocr.read", "sei.interpret"}
+	h := metrics.NewRegistry().Histogram("h", "", nil)
+	for _, hist := range []*metrics.Histogram{nil, h} {
+		ctx := context.Background()
+		allocs := testing.AllocsPerRun(1000, func() {
+			root := obs.Begin(ctx, "core.translate", hist)
+			ctx := root.Context(ctx)
+			for _, stage := range stages {
+				l := obs.Begin(ctx, stage, hist)
+				l.Int("boxes", 0).Bool("error", false)
+				l.End()
 			}
-		}
-		if root != nil {
 			root.Int("diags", 0).Bool("error", false)
 			root.End()
+		})
+		if allocs != 0 {
+			t.Errorf("disabled tracing (histogram %v) allocated %.1f times per translation, want 0", hist != nil, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("disabled tracing allocated %.1f times per translation, want 0", allocs)
+	}
+	if h.Count() == 0 {
+		t.Error("the histogram pass observed nothing")
+	}
+}
+
+// TestStageLayersOneClock pins the one-timer-per-layer contract: on a
+// traced translation with metrics, each stage's tdmagic_stage_seconds
+// observation and the translation's tdmagic_translate_seconds
+// observation equal their spans' durations exactly, since one clock
+// reading feeds both.
+func TestStageLayersOneClock(t *testing.T) {
+	pipe, val := trainSmall(t)
+	reg := metrics.NewRegistry()
+	withMetrics := *pipe
+	withMetrics.Metrics = NewPipelineMetrics(reg)
+	tr := obs.NewTrace("one-clock")
+	if _, _, err := withMetrics.TranslateContext(obs.ContextWithTrace(context.Background(), tr), val[0].Image); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sums := map[string]float64{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		var key string
+		var v float64
+		if f := strings.Fields(line); len(f) == 2 && strings.Contains(f[0], "_sum") {
+			key = f[0]
+			if _, err := fmt.Sscan(f[1], &v); err != nil {
+				t.Fatal(err)
+			}
+			sums[key] = v
+		}
+	}
+	e := tr.Export()
+	for span, series := range map[string]string{
+		"core.translate":   `tdmagic_translate_seconds_sum`,
+		"imgproc.binarize": `tdmagic_stage_seconds_sum{stage="binarize"}`,
+		"lad.detect":       `tdmagic_stage_seconds_sum{stage="lad"}`,
+		"sed.detect":       `tdmagic_stage_seconds_sum{stage="sed"}`,
+		"ocr.read":         `tdmagic_stage_seconds_sum{stage="ocr"}`,
+		"sei.interpret":    `tdmagic_stage_seconds_sum{stage="sei"}`,
+	} {
+		sp := e.Span(span)
+		if sp == nil {
+			t.Errorf("no %s span", span)
+			continue
+		}
+		got, ok := sums[series]
+		if !ok {
+			t.Errorf("exposition has no %s", series)
+			continue
+		}
+		if want := time.Duration(sp.DurNS).Seconds(); got != want {
+			t.Errorf("%s observed %v s, its span lasted %v s", series, got, want)
+		}
 	}
 }
 
@@ -114,7 +170,7 @@ func TestConcurrentTracedTranslations(t *testing.T) {
 	wg.Wait()
 	for w, tr := range traces {
 		e := tr.Export()
-		for _, stage := range []string{"translate", "lad", "sed", "ocr", "sei"} {
+		for _, stage := range []string{"core.translate", "lad.detect", "sed.detect", "ocr.read", "sei.interpret"} {
 			if e.Span(stage) == nil {
 				t.Errorf("worker %d trace missing %s span", w, stage)
 			}

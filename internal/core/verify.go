@@ -9,7 +9,6 @@ package core
 import (
 	"context"
 	"io"
-	"time"
 
 	"tdmagic/internal/ltl"
 	"tdmagic/internal/metrics"
@@ -96,17 +95,21 @@ func Verify(ctx context.Context, spec *monitor.Spec, dump io.Reader, emit func(m
 // through the incremental monitor under the context's deadline. The
 // returned outcome has empty LTL/SVA — callers that already compiled the
 // properties (to write a response header before streaming verdicts) use
-// this entry point.
+// this entry point. The stage is the "monitor.verify_stream" layer: one
+// clock reading for its span and for m's latency histogram.
 func VerifyStream(ctx context.Context, spec *monitor.Spec, dump io.Reader, emit func(monitor.Verdict), m *VerifyMetrics) (*VerifyOutcome, error) {
-	start := time.Now()
+	var h *metrics.Histogram
+	if m != nil {
+		h = m.Latency
+	}
+	l := obs.Begin(ctx, "monitor.verify_stream", h)
+	defer l.End()
 	out := &VerifyOutcome{}
-	spk := obs.StartSpan(ctx, "verify.check")
 	checker, err := monitor.NewStream(spec, emit)
 	if err != nil {
-		spk.End()
 		return nil, err
 	}
-	sink := &ctxSink{ctx: ctx, s: checker, sp: spk}
+	sink := &ctxSink{ctx: ctx, s: checker, sp: l.Span}
 	dec := vcd.NewDecoder(dump, sink)
 	sink.bytes = dec.Bytes
 	err = dec.Run()
@@ -115,18 +118,14 @@ func VerifyStream(ctx context.Context, spec *monitor.Spec, dump io.Reader, emit 
 		m.TraceBytes.Add(out.TraceBytes)
 	}
 	if err != nil {
-		spk.End()
 		return nil, err
 	}
 	if out.Result, err = checker.Finish(); err != nil {
-		spk.End()
 		return nil, err
 	}
-	spk.Int("trace_bytes", out.TraceBytes).
+	l.Int("trace_bytes", out.TraceBytes).
 		Int("resident", int64(checker.MaxResident())).
 		Int("violations", int64(len(out.Result.Violations)))
-	spk.End()
-
 	out.Verdicts = monitor.ResultVerdicts(spec, out.Result)
 	if m != nil {
 		for _, v := range out.Verdicts {
@@ -136,14 +135,13 @@ func VerifyStream(ctx context.Context, spec *monitor.Spec, dump io.Reader, emit 
 				m.VerdictFail.Inc()
 			}
 		}
-		m.Latency.ObserveExemplar(time.Since(start).Seconds(), obs.RequestIDFrom(ctx))
 	}
 	return out, nil
 }
 
 // VerifyProgressInterval is the decode-event stride between progress
 // span events on a traced verification: every this many value changes,
-// the "verify.check" span gains a "progress" event carrying the event
+// the "monitor.verify_stream" span gains a "progress" event carrying the event
 // count and the dump byte offset, so a long check's advance is visible
 // in the flight recorder while it runs.
 const VerifyProgressInterval = 8192
@@ -155,7 +153,7 @@ const VerifyProgressInterval = 8192
 type ctxSink struct {
 	ctx   context.Context
 	s     *monitor.StreamChecker
-	sp    *obs.Span    // "verify.check"; nil when tracing is disabled
+	sp    *obs.Span    // "monitor.verify_stream"; nil when tracing is disabled
 	bytes func() int64 // decoder byte offset, wired after construction
 	n     int
 }

@@ -46,7 +46,7 @@ type Config struct {
 	MaxItems int
 	// Flight, when non-nil, receives job lifecycle events and traces
 	// every job: a "job" root span with one "job.item" child per attempt
-	// (plus the pipeline's stage spans), carrying backoff sleeps, retries
+	// (the pipeline's layers nested under it), carrying backoff sleeps, retries
 	// and quarantines as span events. The trace is captured when the
 	// job's scheduler exits (truncated on capture: a 15k-item job's trace
 	// is real memory), keyed by the job ID, so
@@ -283,6 +283,9 @@ func (s *Service) track(rec *Record, dir string) *job {
 		j.span = j.trace.Start("job")
 		j.span.Int("items", int64(len(rec.Items)))
 		j.ctx = obs.ContextWithSpan(j.ctx, j.span)
+	} else {
+		// Untraced, the job ID still names the job's layers' exemplars.
+		j.ctx = obs.ContextWithRequestID(j.ctx, rec.ID)
 	}
 	s.mu.Lock()
 	s.jobs[rec.ID] = j
@@ -878,36 +881,31 @@ func (j *job) worker(idx, attempt int) {
 		j.svc.m.inflight.Dec()
 		j.kick()
 	}()
-	var sp *obs.Span
-	if s := obs.StartSpan(j.ctx, "job.item"); s != nil {
-		sp = s.Int("index", int64(idx)).Int("attempt", int64(attempt)).
-			Bool("resumed", j.resumed)
-	}
-	start := time.Now()
+	// One layer times the attempt for its span and for
+	// tdjobs_item_seconds, whose exemplar is the job ID.
+	l := obs.Begin(j.ctx, "job.item", j.svc.m.itemSeconds)
+	l.Int("index", int64(idx)).Int("attempt", int64(attempt)).Bool("resumed", j.resumed)
 	res := func() (r batch.Result) {
 		defer func() {
 			if p := recover(); p != nil {
 				r = batch.Result{Err: fmt.Errorf("jobs: item panic: %v", p)}
 			}
 		}()
-		return j.attempt(idx, attempt)
+		return j.attempt(l.Context(j.ctx), idx, attempt)
 	}()
-	j.svc.m.itemSeconds.ObserveExemplar(time.Since(start).Seconds(), j.id)
-	if sp != nil {
-		sp.Bool("cached", res.Cached).Bool("failed", res.Err != nil)
-		sp.End()
-	}
+	l.Bool("cached", res.Cached).Bool("failed", res.Err != nil)
+	l.End()
 	j.report(idx, res)
 }
 
 // attempt executes one translation attempt under the per-item deadline.
-func (j *job) attempt(idx, attempt int) batch.Result {
+func (j *job) attempt(ctx context.Context, idx, attempt int) batch.Result {
 	j.mu.Lock()
 	name := j.rec.Items[idx].Name
 	path := j.rec.Items[idx].Path
 	j.mu.Unlock()
 
-	ictx, cancel := context.WithTimeout(j.ctx, j.svc.cfg.Timeout)
+	ictx, cancel := context.WithTimeout(ctx, j.svc.cfg.Timeout)
 	defer cancel()
 	if th := j.svc.cfg.Throttle; th > 0 {
 		t := time.NewTimer(th)

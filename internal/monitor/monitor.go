@@ -12,7 +12,10 @@
 package monitor
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 
@@ -35,17 +38,48 @@ func (b Bounds) Contains(dt float64) bool {
 	return b.Max <= 0 || dt <= b.Max
 }
 
-// Spec is a monitorable specification.
+// Spec is a monitorable specification. Its JSON form, all but the SPO,
+// is the datasheet's side that both verify surfaces read (DecodeDelays).
 type Spec struct {
-	SPO *spo.SPO
-	// Delays maps a constraint's timing-parameter label to its bounds.
-	// Constraints whose label is absent are checked for ordering only.
-	Delays map[string]Bounds
+	SPO *spo.SPO `json:"-"`
+	// Delays maps a constraint's timing-parameter label (e.g. "t_{su}")
+	// to its bounds. Constraints whose label is absent are checked for
+	// ordering only.
+	Delays map[string]Bounds `json:"delays"`
 	// MinSwingFrac tunes trace edge extraction (default 0.5).
-	MinSwingFrac float64
-	// ThresholdFracs maps a node threshold text (e.g. "90%") to the level
-	// fraction; standard percent strings parse automatically.
-	ThresholdFracs map[string]float64
+	MinSwingFrac float64 `json:"min_swing_frac,omitempty"`
+	// ThresholdFracs maps a node threshold text (e.g. "V_{IH}") to the
+	// level fraction; standard percent strings parse automatically.
+	ThresholdFracs map[string]float64 `json:"threshold_fracs,omitempty"`
+}
+
+// DecodeDelays reads one delays document off r into a Spec without an
+// SPO: the tdmagic -delays file, or the delays part of /v1/verify. An
+// object holding any of its three keys is the document form; any other
+// is a bare {"t_x": {"min": .., "max": ..}} map of delays alone. Unknown
+// keys are refused in either form.
+func DecodeDelays(r io.Reader) (*Spec, error) {
+	var raw json.RawMessage
+	if err := json.NewDecoder(r).Decode(&raw); err != nil {
+		return nil, err
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		return nil, err
+	}
+	spec := &Spec{}
+	var into any = &spec.Delays
+	for _, k := range [...]string{"delays", "min_swing_frac", "threshold_fracs"} {
+		if _, ok := keys[k]; ok {
+			into = spec
+		}
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(into); err != nil {
+		return nil, err
+	}
+	return spec, nil
 }
 
 // Violation describes one failed check.

@@ -133,10 +133,10 @@ func estimate(e *FlightEntry) int {
 }
 
 // Capture records a completed trace. The entry's Name and DurNS come
-// from the longest root span (a cache-hit trace's root is "cache", a
-// full translation's is "translate"); entries whose root exceeds the
-// slow threshold are pinned past ring eviction. Nil-safe on both the
-// recorder and the trace.
+// from its root span — a served request's route layer ("translate",
+// "batch", "verify") or a job's "job" span — or, with no root ended,
+// from the first span; entries whose root reaches the slow threshold are
+// pinned past ring eviction. Nil-safe on both the recorder and the trace.
 func (r *Recorder) Capture(tr *Trace) {
 	if r == nil || tr == nil {
 		return
@@ -145,16 +145,14 @@ func (r *Recorder) Capture(tr *Trace) {
 	if len(ex.Spans) == 0 {
 		return
 	}
-	name, dur := "", int64(0)
-	for i := range ex.Spans {
-		s := &ex.Spans[i]
-		if s.Parent == 0 && (name == "" || s.DurNS > dur) {
-			name, dur = s.Name, s.DurNS
+	root := ex.Spans[0]
+	for _, s := range ex.Spans {
+		if s.Parent == 0 {
+			root = s
+			break
 		}
 	}
-	if name == "" { // no root span ended; fall back to the first span
-		name, dur = ex.Spans[0].Name, ex.Spans[0].DurNS
-	}
+	name, dur := root.Name, root.DurNS
 	e := FlightEntry{
 		Time:      time.Now(),
 		Kind:      "trace",

@@ -1,6 +1,6 @@
-// Package obs is the pipeline's observability layer: a dependency-free
-// span tracer plus a structured (log/slog) logger, shared by the tdmagic
-// one-shot CLI and the tdserve HTTP service.
+// Package obs is the pipeline's observability layer: a span tracer and
+// its one-clock Layer timer, plus a structured (log/slog) logger, shared
+// by the tdmagic one-shot CLI and the tdserve HTTP service.
 //
 // Design constraints, in order:
 //
@@ -34,6 +34,8 @@ import (
 	"encoding/hex"
 	"sync"
 	"time"
+
+	"tdmagic/internal/metrics"
 )
 
 // Attr is one span attribute. Attributes are integer-valued by design
@@ -138,9 +140,8 @@ func spanID(base uint64, name string, occurrence uint64) uint64 {
 	return h
 }
 
-// newSpan starts a span under the given parent ID.
-func (t *Trace) newSpan(parent uint64, name string) *Span {
-	now := time.Now()
+// newSpan starts a span under the given parent ID at now.
+func (t *Trace) newSpan(parent uint64, name string, now time.Time) *Span {
 	t.mu.Lock()
 	n := t.seq[name]
 	t.seq[name] = n + 1
@@ -161,7 +162,7 @@ func (t *Trace) Start(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	return t.newSpan(0, name)
+	return t.newSpan(0, name, time.Now())
 }
 
 // StartChild begins a child span of s. Nil-safe.
@@ -169,7 +170,7 @@ func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.tr.newSpan(s.ID, name)
+	return s.tr.newSpan(s.ID, name, time.Now())
 }
 
 // Int records an integer attribute and returns the span for chaining.
@@ -215,7 +216,12 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.Dur = time.Since(s.began)
+	s.finish(time.Since(s.began))
+}
+
+// finish stamps the span's duration and hands it to the trace.
+func (s *Span) finish(d time.Duration) {
+	s.Dur = d
 	t := s.tr
 	t.mu.Lock()
 	t.spans = append(t.spans, s)
@@ -223,9 +229,11 @@ func (s *Span) End() {
 }
 
 // ctxKey carries either a *Span (the current parent) or a *Trace (a
-// trace with no open parent yet) through a context. A zero-size key
-// keeps the disabled-path Value lookup allocation-free.
+// trace with no open parent yet) through a context; refKey carries the
+// request ID of an untraced request. Zero-size keys keep the
+// disabled-path Value lookups allocation-free.
 type ctxKey struct{}
+type refKey struct{}
 
 // ContextWithTrace returns ctx carrying t, so the next StartSpan opens
 // a root span of t. A nil trace returns ctx unchanged.
@@ -248,35 +256,89 @@ func ContextWithSpan(ctx context.Context, s *Span) context.Context {
 
 // StartSpan begins a span under whatever the context carries: a child
 // of the current span, a root span of the current trace, or nil when
-// the context carries neither (tracing disabled). This is the one call
-// the pipeline stages make.
+// the context carries neither (tracing disabled).
 func StartSpan(ctx context.Context, name string) *Span {
+	return Begin(ctx, name, nil).Span
+}
+
+// spanParent returns the trace the context carries (nil when tracing is
+// off) and the ID of its current span (0 when none is open).
+func spanParent(ctx context.Context) (*Trace, uint64) {
 	switch v := ctx.Value(ctxKey{}).(type) {
 	case *Span:
-		return v.StartChild(name)
+		return v.tr, v.ID
 	case *Trace:
-		return v.Start(name)
+		return v, 0
 	}
-	return nil
+	return nil, 0
 }
 
 // TraceFrom returns the trace the context carries (directly or via its
 // current span), or nil. Allocation-free on the disabled path.
 func TraceFrom(ctx context.Context) *Trace {
-	switch v := ctx.Value(ctxKey{}).(type) {
-	case *Span:
-		return v.tr
-	case *Trace:
-		return v
-	}
-	return nil
+	t, _ := spanParent(ctx)
+	return t
 }
 
-// RequestIDFrom returns the request ID of the trace the context
-// carries, or "" when tracing is disabled. Allocation-free either way,
-// so hot paths can call it unconditionally (exemplar recording does).
+// ContextWithRequestID returns ctx carrying id as the request (or job) ID
+// its layers give their histograms as exemplar when no trace carries one.
+func ContextWithRequestID(ctx context.Context, id string) context.Context {
+	return context.WithValue(ctx, refKey{}, id)
+}
+
+// RequestIDFrom returns the request ID of the trace the context carries,
+// else the one ContextWithRequestID attached, else "". Allocation-free
+// either way, so hot paths can call it unconditionally.
 func RequestIDFrom(ctx context.Context) string {
-	return TraceFrom(ctx).RequestID()
+	if t := TraceFrom(ctx); t != nil {
+		return t.requestID
+	}
+	id, _ := ctx.Value(refKey{}).(string)
+	return id
+}
+
+// Layer times one step of a request or job with one clock: the duration
+// between Begin and End goes to the layer's span, when the context
+// carries a trace, and to its histogram, when it has one, with the
+// request ID as exemplar. With neither it reads no clock and allocates
+// nothing. Attributes go to the embedded span (nil when untraced).
+type Layer struct {
+	*Span
+	hist  *metrics.Histogram
+	ref   string
+	began time.Time
+}
+
+// Begin starts the layer name under whatever ctx carries; h may be nil.
+func Begin(ctx context.Context, name string, h *metrics.Histogram) Layer {
+	t, parent := spanParent(ctx)
+	if t == nil && h == nil {
+		return Layer{}
+	}
+	l := Layer{hist: h, ref: RequestIDFrom(ctx), began: time.Now()}
+	if t != nil {
+		l.Span = t.newSpan(parent, name, l.began)
+	}
+	return l
+}
+
+// Context returns ctx with the layer as the parent of the layers under it.
+func (l Layer) Context(ctx context.Context) context.Context {
+	return ContextWithSpan(ctx, l.Span)
+}
+
+// End stops the layer's clock; end a layer exactly once.
+func (l Layer) End() {
+	if l.began.IsZero() {
+		return
+	}
+	d := time.Since(l.began)
+	if l.hist != nil {
+		l.hist.ObserveExemplar(d.Seconds(), l.ref)
+	}
+	if l.Span != nil {
+		l.Span.finish(d)
+	}
 }
 
 // NewRequestID returns a fresh 16-hex-character request ID from

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"testing"
 	"time"
@@ -11,28 +13,41 @@ import (
 	"tdmagic/internal/obs"
 )
 
-// cacheSpan returns the attributes of the one span a cache hit's trace
-// holds, failing when it holds anything else (a stage span would mean the
+// cacheSpan returns the attributes of the store.get layer that answered
+// a cache hit, failing unless the request left one translate trace that
+// holds such a layer and no core.translate layer (that would mean the
 // request was translated).
 func cacheSpan(t *testing.T, rec *obs.Recorder, rid string) map[string]int64 {
 	t.Helper()
 	dump := rec.Snapshot(obs.FlightFilter{RequestID: rid})
 	all := append(dump.Entries, dump.Pinned...)
-	if len(all) != 1 || len(all[0].Spans) != 1 || all[0].Spans[0].Name != "cache" {
-		t.Fatalf("trace of %s: %+v, want a single cache span", rid, all)
+	if len(all) != 1 || all[0].Name != "translate" {
+		t.Fatalf("trace of %s: %+v, want one translate entry", rid, all)
 	}
-	attrs := map[string]int64{}
-	for _, a := range all[0].Spans[0].Attrs {
-		attrs[a.Key] = a.Val
+	var hit map[string]int64
+	for _, s := range all[0].Spans {
+		if s.Name == "core.translate" {
+			t.Fatalf("trace of %s: %+v, want a cache hit, not a translation", rid, all)
+		}
+		attrs := map[string]int64{}
+		for _, a := range s.Attrs {
+			attrs[a.Key] = a.Val
+		}
+		if s.Name == "store.get" && attrs["hit"] == 1 {
+			hit = attrs
+		}
 	}
-	return attrs
+	if hit == nil {
+		t.Fatalf("trace of %s: %+v, want a store.get layer that hit", rid, all)
+	}
+	return hit
 }
 
 // TestFlightEndpoint pins the happy path of GET /debug/flight: with a
 // recorder configured, an ordinary (non-debug) translate request leaves
 // a trace in the ring, retrievable and filterable by its request ID. A
-// repeat's trace is one cache span, which says whether the raw tier
-// answered it.
+// repeat's trace holds the store.get layer that answered it, which says
+// whether the raw tier did.
 func TestFlightEndpoint(t *testing.T) {
 	rec := obs.NewRecorder(obs.RecorderConfig{})
 	_, ts := newTestServer(t, Config{Workers: 1, Flight: rec})
@@ -74,7 +89,7 @@ func TestFlightEndpoint(t *testing.T) {
 	}
 	var hasStage bool
 	for _, s := range e.Spans {
-		if s.Name == "lad" {
+		if s.Name == "lad.detect" {
 			hasStage = true
 		}
 	}
@@ -108,6 +123,127 @@ func TestFlightEndpoint(t *testing.T) {
 	readBody(t, r)
 	if r.StatusCode != http.StatusBadRequest {
 		t.Errorf("min_dur=soon: %d, want 400", r.StatusCode)
+	}
+}
+
+// TestFlightQueueWait pins the request root: a translation that waited
+// for the one worker slot is recorded as one translate entry that spans
+// the whole request, wait included, with the wait as its
+// serve.queue_wait layer, and is pinned as slow.
+func TestFlightQueueWait(t *testing.T) {
+	rec := obs.NewRecorder(obs.RecorderConfig{Slow: 150 * time.Millisecond})
+	s, ts := newTestServer(t, Config{Workers: 1, Flight: rec})
+	_, val := fixture(t)
+	started := make(chan struct{}, 2)
+	release := make(chan struct{})
+	translateHook = func() {
+		started <- struct{}{}
+		<-release
+	}
+	defer func() { translateHook = nil }()
+
+	post := func(png []byte, out chan<- *http.Response) {
+		resp, err := http.Post(ts.URL+"/v1/translate", "image/png", bytes.NewReader(png))
+		if err != nil {
+			t.Error(err)
+			resp = &http.Response{Body: http.NoBody}
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		out <- resp
+	}
+	first, second := make(chan *http.Response, 1), make(chan *http.Response, 1)
+	go post(pngBytes(t, val[0]), first)
+	<-started // the slot is taken: the next request queues
+	go post(pngBytes(t, val[1]), second)
+	for deadline := time.Now().Add(5 * time.Second); s.queued.Value() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("second request never queued")
+		}
+	}
+	time.Sleep(300 * time.Millisecond) // hold the slot while it waits
+	close(release)
+	resp := <-second
+	if resp.StatusCode != http.StatusOK || (<-first).StatusCode != http.StatusOK {
+		t.Fatalf("queued request: %d", resp.StatusCode)
+	}
+	rid := resp.Header.Get("X-Request-ID")
+
+	dump := rec.Snapshot(obs.FlightFilter{RequestID: rid})
+	if len(dump.Entries)+len(dump.Pinned) != 1 || len(dump.Pinned) != 1 {
+		t.Fatalf("entries for %s: %d ring, %d pinned; want one, pinned", rid, len(dump.Entries), len(dump.Pinned))
+	}
+	e := dump.Pinned[0]
+	if e.Name != "translate" {
+		t.Errorf("entry named %q, want translate", e.Name)
+	}
+	var root, wait *obs.SpanExport
+	for i := range e.Spans {
+		switch sp := &e.Spans[i]; sp.Name {
+		case "translate":
+			root = sp
+		case "serve.queue_wait":
+			wait = sp
+		}
+	}
+	if root == nil || wait == nil {
+		t.Fatalf("spans %+v: want a translate root and a serve.queue_wait layer", e.Spans)
+	}
+	if wait.Parent != root.ID {
+		t.Errorf("serve.queue_wait parent %d, want the root %d", wait.Parent, root.ID)
+	}
+	if wait.DurNS < (200 * time.Millisecond).Nanoseconds() {
+		t.Errorf("serve.queue_wait lasted %v, want >= 200ms", time.Duration(wait.DurNS))
+	}
+	if e.DurNS != root.DurNS || e.DurNS < wait.DurNS {
+		t.Errorf("entry lasted %v (root %v), shorter than its %v wait",
+			time.Duration(e.DurNS), time.Duration(root.DurNS), time.Duration(wait.DurNS))
+	}
+}
+
+// TestFlightBatchOneEntry pins one trace per request for the batch
+// route: an upload of two pictures leaves one batch entry holding every
+// part's layers under the request's root.
+func TestFlightBatchOneEntry(t *testing.T) {
+	rec := obs.NewRecorder(obs.RecorderConfig{})
+	_, ts := newTestServer(t, Config{Workers: 2, Flight: rec})
+	_, val := fixture(t)
+	body, ctype := multipartJob(t, []string{"a.png", "b.png"}, [][]byte{pngBytes(t, val[0]), pngBytes(t, val[1])})
+	resp, err := http.Post(ts.URL+"/v1/translate/batch", ctype, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readBody(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %d", resp.StatusCode)
+	}
+	rid := resp.Header.Get("X-Request-ID")
+	dump := rec.Snapshot(obs.FlightFilter{RequestID: rid})
+	all := append(dump.Entries, dump.Pinned...)
+	if len(all) != 1 || all[0].Name != "batch" {
+		t.Fatalf("entries for %s: %+v, want one batch entry", rid, all)
+	}
+	name := map[uint64]string{}
+	parent := map[uint64]uint64{}
+	count := map[string]int{}
+	for _, sp := range all[0].Spans {
+		name[sp.ID], parent[sp.ID] = sp.Name, sp.Parent
+		count[sp.Name]++
+	}
+	for layer, want := range map[string]int{"store.get": 4, "imgproc.decode": 2, "store.hash_image": 2,
+		"serve.queue_wait": 2, "core.translate": 2, "lad.detect": 2, "store.alias": 2} {
+		if count[layer] != want {
+			t.Errorf("%d %s layers, want %d for two fresh parts (%v)", count[layer], layer, want, count)
+		}
+	}
+	for _, sp := range all[0].Spans {
+		id := sp.ID
+		for parent[id] != 0 {
+			id = parent[id]
+		}
+		if name[id] != "batch" {
+			t.Errorf("span %s is rooted at %q, want the batch root", sp.Name, name[id])
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,7 +13,6 @@ import (
 	"strings"
 
 	"tdmagic/internal/batch"
-	"tdmagic/internal/core"
 	"tdmagic/internal/jobs"
 )
 
@@ -57,8 +55,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	mediaType, params, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	if err != nil {
-		s.badRequests.Inc()
-		s.writeError(w, http.StatusBadRequest, "unreadable content type", nil)
+		s.refuse(w, "unreadable content type", nil)
 		return
 	}
 	var specs []jobs.ItemSpec
@@ -82,8 +79,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("job upload exceeds the %d-byte limit", s.cfg.MaxJobBodyBytes), nil)
 			return
 		}
-		s.badRequests.Inc()
-		s.writeError(w, http.StatusBadRequest, err.Error(), nil)
+		s.refuse(w, err.Error(), nil)
 		return
 	}
 	sn, err := s.cfg.Jobs.SubmitRequest(requestID(r), specs)
@@ -92,8 +88,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, http.StatusServiceUnavailable, "service is draining", nil)
 			return
 		}
-		s.badRequests.Inc()
-		s.writeError(w, http.StatusBadRequest, err.Error(), nil)
+		s.refuse(w, err.Error(), nil)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -105,9 +100,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // collectUploadSpecs reads multipart PNG parts into item specs. Accepted
 // parts stay buffered until Submit journals the job, so the reader
 // enforces its limits while reading, before memory is committed: each
-// part is size-capped and screened with the same magic + IHDR raster
-// check as the synchronous endpoints, the part count is capped at the
-// job service's item limit, and the caller bounds the whole body.
+// part is size-capped and screened by screenPNG, as on the synchronous
+// endpoints, the part count is capped at the job service's item limit,
+// and the caller bounds the whole body.
 func (s *Server) collectUploadSpecs(mr *multipart.Reader) ([]jobs.ItemSpec, error) {
 	maxParts := s.cfg.Jobs.MaxItems()
 	var specs []jobs.ItemSpec
@@ -140,26 +135,11 @@ func (s *Server) collectUploadSpecs(mr *multipart.Reader) ([]jobs.ItemSpec, erro
 		if int64(len(data)) > s.cfg.MaxBodyBytes {
 			return nil, fmt.Errorf("part %q exceeds the %d-byte limit", name, s.cfg.MaxBodyBytes)
 		}
-		if msg := screenPNG(data); msg != "" {
+		if msg := screenPNG(data, "not a PNG"); msg != "" {
 			return nil, fmt.Errorf("part %q: %s", name, msg)
 		}
 		specs = append(specs, jobs.ItemSpec{Name: name, Data: bytes.NewReader(data)})
 	}
-}
-
-// screenPNG applies the cheap pre-decode screening (PNG signature, IHDR
-// raster bound) to an uploaded job item; full decoding happens on a job
-// worker under its own deadline.
-func screenPNG(data []byte) string {
-	if len(data) < 24 || [8]byte(data[:8]) != pngMagic {
-		return "not a PNG"
-	}
-	width := int64(binary.BigEndian.Uint32(data[16:20]))
-	height := int64(binary.BigEndian.Uint32(data[20:24]))
-	if width <= 0 || height <= 0 || width*height > core.MaxPixels {
-		return fmt.Sprintf("declared %dx%d raster exceeds the %d-pixel limit", width, height, core.MaxPixels)
-	}
-	return ""
 }
 
 // collectManifestSpecs reads a JSON manifest submission, resolving every

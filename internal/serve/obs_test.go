@@ -105,7 +105,7 @@ func TestDebugTrace(t *testing.T) {
 	if got, want := payload.Trace.RequestID, resp.Header.Get("X-Request-ID"); got != want {
 		t.Errorf("trace request ID %q != response header %q", got, want)
 	}
-	for _, stage := range []string{"translate", "lad", "sed", "ocr", "sei"} {
+	for _, stage := range []string{"core.translate", "lad.detect", "sed.detect", "ocr.read", "sei.interpret"} {
 		if payload.Trace.Span(stage) == nil {
 			t.Errorf("debug trace missing %s span", stage)
 		}

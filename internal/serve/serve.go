@@ -26,15 +26,14 @@
 //
 // Observability: every request is tagged with an X-Request-ID (the
 // client's, if sent, otherwise generated), echoed on the response and
-// carried through the structured access log. POST /v1/translate?debug=1
-// additionally runs the translation under a span trace and returns it
-// inline in the response, correlating each pipeline stage's latency and
-// detector counts with the request ID. With a flight recorder configured
-// every translate and verify request runs under a trace that is captured
-// into the bounded in-memory ring behind GET /debug/flight — filterable
-// by request_id, root-span name and min_dur — with slow outliers pinned
-// past ring eviction, so "what did that slow request do" stays
-// answerable without a tracing backend.
+// carried through the structured access log. With a flight recorder
+// configured, or with ?debug=1, every translate, batch and verify
+// request runs under one trace rooted at the request (see traced), whose
+// layers — decode, hashing, store reads and writes, queue wait, the
+// pipeline's stages — land in the ring behind GET /debug/flight
+// (filterable by request_id, root-span name and min_dur; slow requests
+// pinned past eviction). /v1/translate?debug=1 also bypasses the cache
+// and returns the trace inline.
 //
 // Backpressure model: at most Workers translations run at once; at most
 // QueueDepth further requests wait for a slot. A request that would grow
@@ -257,9 +256,9 @@ func New(pipe *core.Pipeline, cfg Config) *Server {
 		})
 	s.verifyMetrics = core.NewVerifyMetrics(cfg.Registry)
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/translate", s.handleTranslate)
-	s.mux.HandleFunc("/v1/translate/batch", s.handleBatch)
-	s.mux.HandleFunc("/v1/verify", s.handleVerify)
+	s.mux.HandleFunc("/v1/translate", s.traced("translate", s.handleTranslate))
+	s.mux.HandleFunc("/v1/translate/batch", s.traced("batch", s.handleBatch))
+	s.mux.HandleFunc("/v1/verify", s.traced("verify", s.handleVerify))
 	if cfg.Jobs != nil {
 		s.mux.HandleFunc("/v1/jobs", s.handleJobs)
 		s.mux.HandleFunc("/v1/jobs/", s.handleJob)
@@ -289,14 +288,10 @@ func defaultWorkers() int {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// reqIDKey carries the request ID through a request's context.
-type reqIDKey struct{}
-
 // requestID returns the request's correlation ID ("" outside the
 // middleware, which only happens in direct handler unit tests).
 func requestID(r *http.Request) string {
-	id, _ := r.Context().Value(reqIDKey{}).(string)
-	return id
+	return obs.RequestIDFrom(r.Context())
 }
 
 // sanitizeRequestID accepts a client-proposed X-Request-ID if it is short
@@ -344,7 +339,7 @@ func (s *Server) withRequestID(next http.Handler) http.Handler {
 			id = obs.NewRequestID()
 		}
 		w.Header().Set("X-Request-ID", id)
-		r = r.WithContext(context.WithValue(r.Context(), reqIDKey{}, id))
+		r = r.WithContext(obs.ContextWithRequestID(r.Context(), id))
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		next.ServeHTTP(sw, r)
@@ -359,6 +354,25 @@ func (s *Server) withRequestID(next http.Handler) http.Handler {
 			)
 		}
 	})
+}
+
+// traced wraps a picture route in the request's one trace: when the
+// flight recorder is on or the request asks ?debug=1, it roots the trace
+// at a layer named name that spans the whole handler, and captures it
+// when the handler returns, errors and timeouts included.
+func (s *Server) traced(name string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.cfg.Flight == nil && r.URL.Query().Get("debug") != "1" {
+			h(w, r)
+			return
+		}
+		tr := obs.NewTrace(requestID(r))
+		ctx := obs.ContextWithTrace(r.Context(), tr)
+		root := obs.Begin(ctx, name, nil)
+		h(w, r.WithContext(root.Context(ctx)))
+		root.End()
+		s.cfg.Flight.Capture(tr)
+	}
 }
 
 // Registry returns the metrics registry the service records into.
@@ -411,8 +425,11 @@ var errQueueFull = errors.New("serve: translation queue full")
 
 // acquire claims a worker slot, waiting in the bounded queue if all
 // workers are busy. It fails fast with errQueueFull when the queue is at
-// capacity — the backpressure signal behind every 429.
+// capacity — the backpressure signal behind every 429. The wait is the
+// request's "serve.queue_wait" layer.
 func (s *Server) acquire(ctx context.Context) error {
+	l := obs.Begin(ctx, "serve.queue_wait", nil)
+	defer l.End()
 	select {
 	case s.sem <- struct{}{}:
 		return nil
@@ -475,11 +492,11 @@ type processResult struct {
 // it — the shared front end of /v1/translate, each batch part and
 // /v1/verify's image. A picture whose exact bytes the resolver knows is
 // answered at once from the raw tier, without a decode; other bytes are
-// decoded (the buffer is dropped then) and answered by process, which
-// teaches the resolver the bytes. skipCache (?debug=1) bypasses every
-// tier. The caller runs answer when ready for it; refusal is set instead
-// when the upload is no admissible picture, and each surface words that
-// answer its own way.
+// decoded (the "imgproc.decode" layer; the buffer is dropped then) and
+// answered by process, which teaches the resolver the bytes. skipCache
+// (?debug=1) bypasses every tier. The caller runs answer when ready for
+// it; refusal is set instead when the upload is no admissible picture,
+// and each surface words that answer its own way.
 func (s *Server) readUpload(ctx context.Context, r io.Reader, skipCache bool) (answer func() processResult, refusal string) {
 	u, refusal := s.readPicture(io.LimitReader(r, s.cfg.MaxBodyBytes+1))
 	if refusal != "" {
@@ -487,13 +504,14 @@ func (s *Server) readUpload(ctx context.Context, r io.Reader, skipCache bool) (a
 	}
 	rawKey := store.HashBytes(u.raw)
 	if !skipCache {
-		if res, err := s.resolver.LookupRaw(rawKey); err == nil {
+		if _, out, ok := s.lookup(ctx, rawKey, true); ok {
 			s.requests.Inc()
-			out := s.hit(ctx, res, true)
 			return func() processResult { return out }, ""
 		}
 	}
+	l := obs.Begin(ctx, "imgproc.decode", nil)
 	img, refusal := u.decode()
+	l.End()
 	if refusal != "" {
 		return nil, refusal
 	}
@@ -508,16 +526,14 @@ func (s *Server) readUpload(ctx context.Context, r io.Reader, skipCache bool) (a
 // later requests. Hits never take a worker slot.
 func (s *Server) process(ctx context.Context, img *imgproc.Gray, rawKey store.Hash, skipCache bool) processResult {
 	s.requests.Inc()
+	l := obs.Begin(ctx, "store.hash_image", nil)
 	key := store.HashImage(img)
+	l.End()
 	if !skipCache {
-		if res, err := s.resolver.Lookup(key); err == nil {
-			s.resolver.Learn(rawKey, res)
-			return s.hit(ctx, res, false)
+		if res, out, ok := s.lookup(ctx, key, false); ok {
+			s.learn(ctx, rawKey, res)
+			return out
 		}
-	}
-	if sp := obs.StartSpan(ctx, "cache"); sp != nil {
-		sp.Bool("hit", false).Bool("skipped", skipCache)
-		sp.End()
 	}
 	if err := s.acquire(ctx); err != nil {
 		if errors.Is(err, errQueueFull) {
@@ -548,7 +564,7 @@ func (s *Server) process(ctx context.Context, img *imgproc.Gray, rawKey store.Ha
 		}
 		return errorResult(statusForCtxErr(err), msg, ds)
 	}
-	s.resolver.Learn(rawKey, res)
+	s.learn(ctx, rawKey, res)
 	if res.Stored {
 		s.storePuts.Inc()
 	}
@@ -558,29 +574,36 @@ func (s *Server) process(ctx context.Context, img *imgproc.Gray, rawKey store.Ha
 	return s.answer(res)
 }
 
-// lookup answers key from the LRU or the store without translating; ok
-// is false on a miss.
-func (s *Server) lookup(ctx context.Context, key store.Hash) (processResult, bool) {
-	res, err := s.resolver.Lookup(key)
-	if err != nil {
-		return processResult{}, false
+// lookup answers key from the LRU or the store without translating, as
+// the "store.get" layer — by the hash of the encoded bytes through the
+// raw tier when raw is set, else by input hash — and counts the tier
+// that held it. ok is false on a miss.
+func (s *Server) lookup(ctx context.Context, key store.Hash, raw bool) (res batch.Resolved, out processResult, ok bool) {
+	l := obs.Begin(ctx, "store.get", nil)
+	lookup := s.resolver.Lookup
+	if raw {
+		lookup = s.resolver.LookupRaw
 	}
-	return s.hit(ctx, res, false), true
-}
-
-// hit answers a resolved artifact from the LRU or the store, counting the
-// tier that held it; raw reports that the raw tier found it.
-func (s *Server) hit(ctx context.Context, res batch.Resolved, raw bool) processResult {
+	res, err := lookup(key)
+	l.Bool("hit", err == nil).Bool("store", res.Tier == batch.TierStore).Bool("raw", raw)
+	l.End()
+	if err != nil {
+		return res, out, false
+	}
 	if res.Tier == batch.TierStore {
 		s.storeHits.Inc()
 	} else {
 		s.cacheHits.Inc()
 	}
-	if sp := obs.StartSpan(ctx, "cache"); sp != nil {
-		sp.Bool("hit", true).Bool("store", res.Tier == batch.TierStore).Bool("raw", raw)
-		sp.End()
-	}
-	return s.answer(res)
+	return res, s.answer(res), true
+}
+
+// learn teaches the resolver that the encoded bytes hashing to rawKey
+// decode to res's picture, as the "store.alias" layer.
+func (s *Server) learn(ctx context.Context, rawKey store.Hash, res batch.Resolved) {
+	l := obs.Begin(ctx, "store.alias", nil)
+	s.resolver.Learn(rawKey, res)
+	l.End()
 }
 
 // answer turns a resolved artifact into a reply. An artifact that records
@@ -629,9 +652,9 @@ func errorResult(status int, msg string, ds []diag.Diagnostic) processResult {
 }
 
 // handleTranslate serves POST /v1/translate: a PNG body in, one SPO out.
-// With ?debug=1 the translation runs under a span trace (bypassing the
-// cache read so every stage actually executes) and the response carries
-// the trace inline under "trace".
+// With ?debug=1 the translation bypasses the cache read, so every stage
+// actually executes, and the response carries the request's trace so far
+// inline under "trace".
 func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST a PNG body", nil)
@@ -639,14 +662,6 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx := r.Context()
 	debug := r.URL.Query().Get("debug") == "1"
-	var tr *obs.Trace
-	if debug || s.cfg.Flight != nil {
-		// The flight recorder wants a trace for every request, not just
-		// debug ones; only debug bypasses the cache read, so a recorded
-		// cache hit is a one-span "cache" trace.
-		tr = obs.NewTrace(requestID(r))
-		ctx = obs.ContextWithTrace(ctx, tr)
-	}
 	var answer func() processResult
 	var refusal string
 	if r.ContentLength > s.cfg.MaxBodyBytes {
@@ -655,18 +670,14 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 		answer, refusal = s.readUpload(ctx, r.Body, debug)
 	}
 	if refusal != "" {
-		s.badRequests.Inc()
-		s.writeError(w, http.StatusBadRequest, refusal, []diag.Diagnostic{
+		s.refuse(w, refusal, []diag.Diagnostic{
 			diag.New(diag.StageInput, diag.Error, "%s", refusal),
 		})
 		return
 	}
 	res := answer()
-	// Capture before answering, errors and timeouts included — the slow
-	// trace that exceeded the deadline is exactly the one worth pinning.
-	s.cfg.Flight.Capture(tr)
 	if debug && res.status == http.StatusOK {
-		res = attachTrace(res, tr)
+		res = attachTrace(res, obs.TraceFrom(ctx))
 	}
 	s.writeResult(w, res)
 }
@@ -735,8 +746,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.batchReqs.Inc()
 	mediaType, params, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	if err != nil || mediaType != "multipart/form-data" {
-		s.badRequests.Inc()
-		s.writeError(w, http.StatusBadRequest, "content type must be multipart/form-data", nil)
+		s.refuse(w, "content type must be multipart/form-data", nil)
 		return
 	}
 	ctx := r.Context()
@@ -789,8 +799,7 @@ parts:
 	wg.Wait()
 	switch {
 	case abort != "":
-		s.badRequests.Inc()
-		s.writeError(w, http.StatusBadRequest, abort, nil)
+		s.refuse(w, abort, nil)
 	case ctx.Err() != nil:
 		s.writeError(w, statusForCtxErr(ctx.Err()), "batch aborted: "+ctx.Err().Error(), nil)
 	default:
@@ -917,6 +926,13 @@ func (s *Server) retryAfterSeconds() string {
 	return strconv.Itoa(secs)
 }
 
+// refuse answers 400 with an ErrorResponse and counts it in
+// tdserve_bad_requests_total.
+func (s *Server) refuse(w http.ResponseWriter, msg string, ds []diag.Diagnostic) {
+	s.badRequests.Inc()
+	s.writeError(w, http.StatusBadRequest, msg, ds)
+}
+
 // writeError writes an ErrorResponse with the given status.
 func (s *Server) writeError(w http.ResponseWriter, status int, msg string, ds []diag.Diagnostic) {
 	w.Header().Set("Content-Type", "application/json")
@@ -927,6 +943,23 @@ func (s *Server) writeError(w http.ResponseWriter, status int, msg string, ds []
 // pngMagic is the 8-byte PNG signature.
 var pngMagic = [8]byte{0x89, 'P', 'N', 'G', '\r', '\n', 0x1a, '\n'}
 
+// screenPNG is the cheap screen every picture upload passes before it is
+// buffered or decoded: the PNG signature, then the raster the mandatory
+// first chunk, IHDR, declares at bytes 16-23, which refuses "small file,
+// enormous raster" bombs from the header alone. It returns notPNG, each
+// surface's wording, for bytes that are no PNG, the raster refusal, or "".
+func screenPNG(head []byte, notPNG string) string {
+	if len(head) < 24 || [8]byte(head[:8]) != pngMagic {
+		return notPNG
+	}
+	width := int64(binary.BigEndian.Uint32(head[16:20]))
+	height := int64(binary.BigEndian.Uint32(head[20:24]))
+	if width <= 0 || height <= 0 || width*height > core.MaxPixels {
+		return fmt.Sprintf("declared %dx%d raster exceeds the %d-pixel limit", width, height, core.MaxPixels)
+	}
+	return ""
+}
+
 // upload is one picture's encoded bytes as readPicture buffered them.
 type upload struct {
 	raw []byte
@@ -934,10 +967,9 @@ type upload struct {
 }
 
 // readPicture reads one uploaded PNG off r, which the caller limits to
-// MaxBodyBytes+1. The 24-byte magic + IHDR prefix is screened before
-// anything is buffered, refusing adversarial "small file, enormous
-// raster" bombs from the header alone; the rest is buffered, so the raw
-// tier can answer known bytes before any decode.
+// MaxBodyBytes+1. The 24-byte magic + IHDR prefix is screened
+// (screenPNG) before anything is buffered; the rest is buffered, so the
+// raw tier can answer known bytes before any decode.
 func (s *Server) readPicture(r io.Reader) (upload, string) {
 	head := make([]byte, 24)
 	if _, err := io.ReadFull(r, head); err != nil {
@@ -946,14 +978,8 @@ func (s *Server) readPicture(r io.Reader) (upload, string) {
 		}
 		return upload{}, "read body: " + err.Error()
 	}
-	if [8]byte(head[:8]) != pngMagic {
-		return upload{}, "body is not a PNG"
-	}
-	// IHDR is mandatory and first: width and height live at bytes 16-23.
-	width := int64(binary.BigEndian.Uint32(head[16:20]))
-	height := int64(binary.BigEndian.Uint32(head[20:24]))
-	if width <= 0 || height <= 0 || width*height > core.MaxPixels {
-		return upload{}, fmt.Sprintf("declared %dx%d raster exceeds the %d-pixel limit", width, height, core.MaxPixels)
+	if refusal := screenPNG(head, "body is not a PNG"); refusal != "" {
+		return upload{}, refusal
 	}
 	buf := bytes.NewBuffer(head)
 	_, err := buf.ReadFrom(r)

@@ -29,25 +29,9 @@ import (
 
 	"tdmagic/internal/core"
 	"tdmagic/internal/monitor"
-	"tdmagic/internal/obs"
 	"tdmagic/internal/spo"
 	"tdmagic/internal/store"
 )
-
-// verifyRequestSpec is the JSON schema of the `delays` part: the
-// monitor.Spec fields that come from the datasheet rather than the
-// picture.
-type verifyRequestSpec struct {
-	// Delays maps a constraint's timing-parameter label (e.g. "t_{su}")
-	// to its admissible interval. Constraints with no entry are checked
-	// for event ordering only.
-	Delays map[string]monitor.Bounds `json:"delays"`
-	// MinSwingFrac tunes edge extraction (default 0.5).
-	MinSwingFrac float64 `json:"min_swing_frac,omitempty"`
-	// ThresholdFracs maps non-standard node threshold texts to level
-	// fractions; "NN%" thresholds parse automatically.
-	ThresholdFracs map[string]float64 `json:"threshold_fracs,omitempty"`
-}
 
 // verifySpecLine is the first NDJSON line of a verification response.
 type verifySpecLine struct {
@@ -99,24 +83,15 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	s.verifyReqs.Inc()
 	mediaType, params, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	if err != nil || mediaType != "multipart/form-data" {
-		s.badRequests.Inc()
-		s.writeError(w, http.StatusBadRequest, "expected multipart/form-data", nil)
+		s.refuse(w, "expected multipart/form-data", nil)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.VerifyTimeout)
 	defer cancel()
-	if s.cfg.Flight != nil {
-		// Trace the whole request — translation (or store lookup), property
-		// compilation, the streaming check with its progress events — and
-		// capture it however the request ends.
-		tr := obs.NewTrace(requestID(r))
-		ctx = obs.ContextWithTrace(ctx, tr)
-		defer s.cfg.Flight.Capture(tr)
-	}
 
 	var (
 		p         *spo.SPO
-		vspec     verifyRequestSpec
+		spec      = &monitor.Spec{}
 		inputHash string
 		cached    bool
 	)
@@ -127,21 +102,19 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		if err != nil {
-			s.badRequests.Inc()
-			s.writeError(w, http.StatusBadRequest, "read multipart body: "+err.Error(), nil)
+			s.refuse(w, "read multipart body: "+err.Error(), nil)
 			return
 		}
-		switch name := part.FormName(); name {
+		name := part.FormName()
+		if p != nil && (name == "image" || name == "ref") {
+			s.refuse(w, "duplicate specification source: one image or ref part only", nil)
+			return
+		}
+		switch name {
 		case "image":
-			if p != nil {
-				s.badRequests.Inc()
-				s.writeError(w, http.StatusBadRequest, "duplicate specification source: one image or ref part only", nil)
-				return
-			}
 			answer, refusal := s.readUpload(ctx, part, false)
 			if refusal != "" {
-				s.badRequests.Inc()
-				s.writeError(w, http.StatusBadRequest, refusal, nil)
+				s.refuse(w, refusal, nil)
 				return
 			}
 			res := answer()
@@ -151,24 +124,17 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			}
 			p, inputHash, cached = res.artifact().SPO, res.inputHash, res.cached
 		case "ref":
-			if p != nil {
-				s.badRequests.Inc()
-				s.writeError(w, http.StatusBadRequest, "duplicate specification source: one image or ref part only", nil)
-				return
-			}
 			raw, err := io.ReadAll(io.LimitReader(part, 256))
 			if err != nil {
-				s.badRequests.Inc()
-				s.writeError(w, http.StatusBadRequest, "read ref part: "+err.Error(), nil)
+				s.refuse(w, "read ref part: "+err.Error(), nil)
 				return
 			}
 			key, err := store.ParseHex(strings.TrimSpace(string(raw)))
 			if err != nil {
-				s.badRequests.Inc()
-				s.writeError(w, http.StatusBadRequest, "ref is not an input hash: "+err.Error(), nil)
+				s.refuse(w, "ref is not an input hash: "+err.Error(), nil)
 				return
 			}
-			res, ok := s.lookup(ctx, key)
+			_, res, ok := s.lookup(ctx, key, false)
 			if !ok {
 				s.writeError(w, http.StatusNotFound, "no cached translation for ref "+key.Hex()+"; POST the image instead", nil)
 				return
@@ -179,47 +145,36 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			}
 			p, inputHash, cached = res.artifact().SPO, res.inputHash, true
 		case "delays":
-			dec := json.NewDecoder(io.LimitReader(part, 1<<20))
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(&vspec); err != nil {
-				s.badRequests.Inc()
-				s.writeError(w, http.StatusBadRequest, "decode delays JSON: "+err.Error(), nil)
+			if spec, err = monitor.DecodeDelays(io.LimitReader(part, 1<<20)); err != nil {
+				s.refuse(w, "decode delays JSON: "+err.Error(), nil)
 				return
 			}
 		case "vcd":
 			if p == nil {
-				s.badRequests.Inc()
-				s.writeError(w, http.StatusBadRequest, "vcd part must follow an image or ref part", nil)
+				s.refuse(w, "vcd part must follow an image or ref part", nil)
 				return
 			}
-			s.runVerify(ctx, w, part, p, vspec, inputHash, cached, requestID(r))
+			spec.SPO = p
+			s.runVerify(ctx, w, part, spec, inputHash, cached, requestID(r))
 			return
 		default:
-			s.badRequests.Inc()
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown part %q (want image|ref, delays, vcd)", name), nil)
+			s.refuse(w, fmt.Sprintf("unknown part %q (want image|ref, delays, vcd)", name), nil)
 			return
 		}
 		_ = part.Close()
 	}
-	s.badRequests.Inc()
-	s.writeError(w, http.StatusBadRequest, "missing vcd part", nil)
+	s.refuse(w, "missing vcd part", nil)
 }
 
 // runVerify occupies a worker slot and streams the dump through the
 // incremental monitor, writing NDJSON lines as verdicts land. The spec
 // line goes out before the first dump byte is read, so a client watching
 // the stream sees the compiled properties immediately.
-func (s *Server) runVerify(ctx context.Context, w http.ResponseWriter, dump io.Reader, p *spo.SPO, vs verifyRequestSpec, inputHash string, cached bool, rid string) {
-	spec := &monitor.Spec{
-		SPO:            p,
-		Delays:         vs.Delays,
-		MinSwingFrac:   vs.MinSwingFrac,
-		ThresholdFracs: vs.ThresholdFracs,
-	}
+func (s *Server) runVerify(ctx context.Context, w http.ResponseWriter, dump io.Reader, spec *monitor.Spec, inputHash string, cached bool, rid string) {
+	p := spec.SPO
 	ltlText, svaText, err := core.CompileProperties(ctx, spec)
 	if err != nil {
-		s.badRequests.Inc()
-		s.writeError(w, http.StatusBadRequest, "compile properties: "+err.Error(), nil)
+		s.refuse(w, "compile properties: "+err.Error(), nil)
 		return
 	}
 	if err := s.acquire(ctx); err != nil {

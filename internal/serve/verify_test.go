@@ -201,7 +201,7 @@ func TestVerifyGoldenEndToEnd(t *testing.T) {
 
 	c0 := p.Constraints[0]
 	label := c0.Delay
-	delays, _ := json.Marshal(verifyRequestSpec{
+	delays, _ := json.Marshal(monitor.Spec{
 		Delays: map[string]monitor.Bounds{label: {Min: 0.5, Max: 1.5}},
 	})
 	clean := synthVCD(t, p, "", 0)

@@ -114,3 +114,33 @@ func TestSplitSpecLine(t *testing.T) {
 		t.Error("field order wrong")
 	}
 }
+
+// FuzzParseSpec feeds arbitrary text to ParseSpec, the parser behind the
+// public tdmagic.ParseSpec. It must not panic, and the SpecText of any
+// spec it accepts must parse again to a spec with the same SpecText.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"n1 = (V_{INA}, 1, riseStep, None)\nn2 = (V_{OUTA}, 1, riseRamp, 90%)\ne1 = (n1, t_{D(on)}, n2)\n",
+		"# comment\nn1 = (A, 1, riseStep, None)\nn2 = (B, 1, fallStep, None)\ne1 = (n1, t_{D(on)}, n2)\n",
+		"n1 = (A, 1, riseStep, None)\ne1 = (n1, t, n1)",
+		"n1 = (A, 1, riseStep, None(}",
+		"n2 = (B, 1, fallRamp, 10%)\nn1 = (A, 2, riseRamp, 50%)\ne1 = (n2, 6ns, n1)\n",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		p, err := ParseSpec(text)
+		if err != nil {
+			return
+		}
+		spec := p.SpecText()
+		back, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatalf("accepted %q, refused its SpecText %q: %v", text, spec, err)
+		}
+		if again := back.SpecText(); again != spec {
+			t.Fatalf("accepted %q: SpecText %q re-parses to %q", text, spec, again)
+		}
+	})
+}
