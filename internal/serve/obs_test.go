@@ -3,11 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 
+	"tdmagic/internal/jobs"
 	"tdmagic/internal/obs"
 )
 
@@ -219,5 +222,74 @@ func TestAccessLog(t *testing.T) {
 	}
 	if line.RequestID != resp.Header.Get("X-Request-ID") {
 		t.Errorf("access log request ID %q != header %q", line.RequestID, resp.Header.Get("X-Request-ID"))
+	}
+}
+
+// TestExemplarsNameTheRequest pins the exemplar refs with the flight
+// recorder off and on: tdmagic_translate_seconds, tdmagic_stage_seconds
+// and tdverify_check_seconds name the request that made the
+// observation, tdjobs_item_seconds the job.
+func TestExemplarsNameTheRequest(t *testing.T) {
+	for _, rec := range []*obs.Recorder{nil, obs.NewRecorder(obs.RecorderConfig{})} {
+		t.Run(fmt.Sprintf("recorder=%v", rec != nil), func(t *testing.T) {
+			_, ts := newJobsServerCfg(t, jobs.Config{Workers: 1, Flight: rec}, func(c *Config) { c.Flight = rec })
+			_, val := fixture(t)
+			post := func(path, id, ctype string, body io.Reader) *http.Response {
+				t.Helper()
+				req, _ := http.NewRequest(http.MethodPost, ts.URL+path, body)
+				req.Header.Set("Content-Type", ctype)
+				req.Header.Set("X-Request-ID", id)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				readBody(t, resp)
+				return resp
+			}
+			// exemplars fails unless each series has an exemplar naming its
+			// ref. A later observation in the same bucket replaces one, so
+			// each check runs before the next surface observes.
+			exemplars := func(want map[string]string) {
+				t.Helper()
+				resp, err := http.Get(ts.URL + "/metrics")
+				if err != nil {
+					t.Fatal(err)
+				}
+				exposition := string(readBody(t, resp))
+				for series, ref := range want {
+					found := false
+					for _, line := range strings.Split(exposition, "\n") {
+						if strings.HasPrefix(line, "# EXEMPLAR "+series) && strings.Contains(line, "} "+ref+" ") {
+							found = true
+						}
+					}
+					if !found {
+						t.Errorf("no %s exemplar naming %s", series, ref)
+					}
+				}
+			}
+			png := pngBytes(t, val[0])
+			hash := post("/v1/translate", "ex-translate", "image/png", bytes.NewReader(png)).Header.Get("X-Input-Hash")
+			vbody, vtype := verifyBody(t, []vpart{{"ref", []byte(hash)}, {"vcd", []byte("$enddefinitions $end\n#0\n")}})
+			post("/v1/verify", "ex-verify", vtype, vbody)
+			exemplars(map[string]string{
+				"tdmagic_translate_seconds_bucket":         "ex-translate",
+				`tdmagic_stage_seconds_bucket{stage="lad"`: "ex-translate",
+				"tdverify_check_seconds_bucket":            "ex-verify",
+			})
+
+			jbody, jtype := multipartJob(t, []string{"a.png"}, [][]byte{pngBytes(t, val[1])})
+			resp, err := http.Post(ts.URL+"/v1/jobs", jtype, jbody)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sn jobs.Snapshot
+			if err := json.NewDecoder(resp.Body).Decode(&sn); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			pollJob(t, ts.URL, sn.ID)
+			exemplars(map[string]string{"tdjobs_item_seconds_bucket": sn.ID})
+		})
 	}
 }
