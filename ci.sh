@@ -22,12 +22,15 @@
 #                     equal the committed BENCH_03.json byte for byte
 #   5b. zero-alloc guards: the disabled-observability paths (nil trace,
 #                     nil flight recorder, tracing-off translate hot path)
-#                     must stay at exactly zero allocations per operation;
-#                     run explicitly so a -run filter in step 4 can never
+#                     must stay at exactly zero allocations per operation,
+#                     and the VCD decoder's allocations must not grow with
+#                     the dump (0.5 MB and 2 MB dumps allocate alike); run
+#                     explicitly so a -run filter in step 4 can never
 #                     silently skip the AllocsPerRun pins
 #   6. fuzz smoke:    a few seconds of coverage-guided fuzzing on each
-#                     text parser (VCD, also read a byte at a time and in
-#                     halved reads; TDL; spec text), on tdserve's upload
+#                     text parser (VCD, against the line decoder it
+#                     replaced, read whole, a byte at a time and in halved
+#                     reads; TDL; spec text), on tdserve's upload
 #                     reader (against the streaming reference reader), on
 #                     the delays document both verify surfaces read and on
 #                     the job journal's replay (loadRecord: no panic, no
@@ -40,10 +43,11 @@
 #                     every hot path is exercised end to end
 #   7b. bench-regression guards: at reference machine speed (tdbench's
 #                     speed probe samples the cores during the runs), the
-#                     Fig. 1 single-image pipeline must stay within +20%
-#                     and the warm 128-picture batch re-run within +50% of
-#                     the baselines in BENCH_GUARDS.json (median of 3 runs,
-#                     to ride out shared-runner noise)
+#                     Fig. 1 single-image pipeline must stay within +20%,
+#                     and the warm 128-picture batch re-run and the VCD
+#                     decode of a tdbench-shaped dump within +50%, of the
+#                     baselines in BENCH_GUARDS.json (median of 3 runs, to
+#                     ride out shared-runner noise)
 #   7d. corpus leg:   end to end over files — generate a 50-picture corpus
 #                     with tdgen, run tdmagic -batch cold into a fresh
 #                     content-addressed cache, re-run warm and assert >= 98%
@@ -99,8 +103,11 @@
 #                     job's root trace + job_resumed and job_done events in
 #                     /debug/flight
 #  11. verify_stream leg: ten seconds of the benchmark's verify workload;
-#                     fails on any wrong verdict or on a latency p99 above
-#                     BENCHMARK.json's latency_p99 {max} for it
+#                     fails on any wrong verdict, on any failed or refused
+#                     request, on a latency p99 above BENCHMARK.json's
+#                     latency_p99 {max} for it, and on a first-verdict p50
+#                     not below half the latency p50 (verdicts must leave
+#                     while the dump uploads)
 set -eux
 
 test -z "$(gofmt -l .)"
@@ -130,6 +137,7 @@ cmp BENCH_03.json "$tmp/sweep.json"
 
 go test -run 'TestNilTraceZeroAlloc|TestNilRecorderZeroAlloc' -count 1 ./internal/obs
 go test -run 'TestDisabledTracingZeroAllocOnHotPath' -count 1 ./internal/core
+go test -run 'TestDecodeAllocsFlat' -count 1 ./internal/vcd
 go test -run '^FuzzParse$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/vcd
 go test -run '^FuzzParse$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/tdl
 go test -run '^FuzzReadPicture$' -fuzz '^FuzzReadPicture$' -fuzztime 5s ./internal/serve
@@ -148,17 +156,17 @@ go test -run '^$' -bench 'BenchmarkAnalyze$' -benchtime 1x .
 # run's ns/op is scaled by the machine's speed (the task's reference time,
 # 1 ms, over its median time per core, averaged over the cores). The
 # ceilings in BENCH_GUARDS.json are a baseline at reference speed +20%
-# (Fig. 1 pipeline) and +50% (warm batch re-run). Runs use -cpu 1, as the
-# baseline did; the awk also reads a -N name suffix.
+# (Fig. 1 pipeline) and +50% (warm batch re-run, VCD decode). Runs use
+# -cpu 1, as the baseline did; the awk also reads a -N name suffix.
 go -C tdbench build -o "$tmp/tdbench" .
-bench_guard() { # $1 benchmark, $2 -benchtime, $3 guard name in BENCH_GUARDS.json
+bench_guard() { # $1 benchmark, $2 -benchtime, $3 guard name in BENCH_GUARDS.json, $4 package
 	rm -f "$tmp/probe.in"
 	mkfifo "$tmp/probe.in"
 	"$tmp/tdbench" -probe <"$tmp/probe.in" >"$tmp/probe.out" &
 	probe_pid=$!
 	exec 3>"$tmp/probe.in"
 	for i in 1 2 3; do
-		go test -run '^$' -bench "^$1\$" -benchtime "$2" -cpu 1 . |
+		go test -run '^$' -bench "^$1\$" -benchtime "$2" -cpu 1 "$4" |
 			awk -v b="$1" '$1 ~ "^" b "(-[0-9]+)?$" && $4 == "ns/op" { print $3 }'
 	done >"$tmp/guard.txt"
 	exec 3>&- # the sampler exits when its standard input closes
@@ -182,8 +190,9 @@ print(f"{sys.argv[4]}: median {median:.0f} ns/op at reference speed (limit {limi
 assert median <= limit, f"{sys.argv[4]} regressed: median {median:.0f} ns/op at reference speed > {limit} ({guard['tolerance']} over the baseline)"
 EOF
 }
-bench_guard BenchmarkFig1PipelineSingleImage 20x fig1_pipeline
-bench_guard BenchmarkBatchEngineWarm 5x warm_batch_rerun
+bench_guard BenchmarkFig1PipelineSingleImage 20x fig1_pipeline .
+bench_guard BenchmarkBatchEngineWarm 5x warm_batch_rerun .
+bench_guard BenchmarkDecodeTdbenchShape 50x vcd_decode ./internal/vcd
 
 # --- GOAMD64=v3 leg (avx2 runners only) ------------------------------------
 if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
@@ -527,9 +536,11 @@ cmp "$tmp/resumed.ndjson" "$tmp/cold.ndjson" # crash-resume is invisible in the 
 # --- verify_stream leg: the benchmark's verify workload, time-boxed ----------
 # Ten measured seconds of tdbench's verify_stream (a closed loop of
 # /v1/verify by ref over 0.25-2 MB VCD dumps). Any wrong verdict fails the
-# leg, and so does a printed latency p99 above the workload's
-# latency_p99 {max} in BENCHMARK.json's "why" text, checked here as a hard
-# constraint.
+# leg, and so does any failed or refused request, a printed latency p99
+# above the workload's latency_p99 {max} in BENCHMARK.json's "why" text,
+# checked here as a hard constraint, or a first-verdict p50 not below half
+# the latency p50, both as measured: the response streams during the
+# upload, so the first verdict leaves long before the last dump byte.
 sh tdbench/run.sh --workload verify_stream --seconds 10 --trace 0 >"$tmp/verify_stream.out"
 python3 - "$tmp/verify_stream.out" BENCHMARK.json <<'EOF'
 import json, re, sys
@@ -542,4 +553,8 @@ limit = float(re.search(r"latency_p99 \{max: ([0-9.]+)ms\}", why).group(1))
 p99s = [float(v) for v in re.findall(r"latency_p99_ms ([0-9.]+) ms as measured", out)]
 assert p99s, "tdbench printed no latency_p99_ms"
 assert max(p99s) <= limit, f"verify_stream latency p99 {max(p99s)} ms > {limit} ms"
+assert res["failed"] == 0, f"verify_stream failed or refused {res['failed']} of {res['attempted']} requests"
+p50 = float(re.search(r"latency_p50_ms .*; ([0-9.]+) ms as measured\]", out).group(1))
+first = float(re.search(r"first_verdict_p50_ms ([0-9.]+) ms", out).group(1))
+assert first < p50 / 2, f"first verdict p50 {first} ms not below half the latency p50 {p50} ms"
 EOF

@@ -391,3 +391,49 @@ func TestJobEventsEndpoint(t *testing.T) {
 		t.Errorf("events of unknown job: %d, want 404", r404.StatusCode)
 	}
 }
+
+// TestJobEventsFlushedLive reads the events stream's snapshot line while
+// the job still runs: every line is flushed as it is written, not held
+// back until the job ends or a write buffer fills.
+func TestJobEventsFlushedLive(t *testing.T) {
+	_, ts := newJobsServerCfg(t, jobs.Config{Workers: 1, Throttle: 400 * time.Millisecond}, nil)
+	_, val := fixture(t)
+	names := []string{"live-a.png", "live-b.png", "live-c.png"}
+	bodies := [][]byte{pngBytes(t, val[0]), pngBytes(t, val[1]), pngBytes(t, val[2])}
+	body, ctype := multipartJob(t, names, bodies)
+	resp, err := http.Post(ts.URL+"/v1/jobs", ctype, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sn jobs.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&sn); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	events, err := http.Get(ts.URL + "/v1/jobs/" + sn.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer events.Body.Close()
+	line, err := bufio.NewReader(events.Body).ReadBytes('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first jobs.Event
+	if err := json.Unmarshal(line, &first); err != nil || first.Type != jobs.EventSnapshot {
+		t.Fatalf("first line %q (%v), want the snapshot", line, err)
+	}
+	status, err := http.Get(ts.URL + "/v1/jobs/" + sn.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var now jobs.Snapshot
+	if err := json.NewDecoder(status.Body).Decode(&now); err != nil {
+		t.Fatal(err)
+	}
+	status.Body.Close()
+	if now.State != jobs.StateRunning {
+		t.Fatalf("job %s by the time the snapshot line arrived, want it still running", now.State)
+	}
+}

@@ -223,18 +223,15 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, id stri
 	defer sub.Close()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
-	flusher, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
 	for {
 		ev, err := sub.Next(r.Context())
 		if err != nil {
 			return // io.EOF (stream closed) or the client went away
 		}
-		if enc.Encode(ev) != nil {
+		if enc.Encode(ev) != nil || rc.Flush() != nil {
 			return
-		}
-		if flusher != nil {
-			flusher.Flush()
 		}
 	}
 }

@@ -310,12 +310,16 @@ func sanitizeRequestID(id string) string {
 }
 
 // statusWriter records the status code written by a handler for the
-// access log.
+// access log. Unwrap hands http.ResponseController the server's own
+// writer, so handlers behind it can still flush, enable full duplex, set
+// read deadlines and hijack.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
 }
+
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 func (w *statusWriter) WriteHeader(code int) {
 	w.status = code

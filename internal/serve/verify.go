@@ -26,6 +26,7 @@ import (
 	"mime/multipart"
 	"net/http"
 	"strings"
+	"time"
 
 	"tdmagic/internal/core"
 	"tdmagic/internal/monitor"
@@ -155,7 +156,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			spec.SPO = p
-			s.runVerify(ctx, w, part, spec, inputHash, cached, requestID(r))
+			s.runVerify(ctx, w, r, part, spec, inputHash, cached)
 			return
 		default:
 			s.refuse(w, fmt.Sprintf("unknown part %q (want image|ref, delays, vcd)", name), nil)
@@ -170,7 +171,9 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 // incremental monitor, writing NDJSON lines as verdicts land. The spec
 // line goes out before the first dump byte is read, so a client watching
 // the stream sees the compiled properties immediately.
-func (s *Server) runVerify(ctx context.Context, w http.ResponseWriter, dump io.Reader, spec *monitor.Spec, inputHash string, cached bool, rid string) {
+// Once the slot is held the response runs full duplex, each line flushed
+// while the dump still uploads; refusals before that are plain responses.
+func (s *Server) runVerify(ctx context.Context, w http.ResponseWriter, r *http.Request, dump io.Reader, spec *monitor.Spec, inputHash string, cached bool) {
 	p := spec.SPO
 	ltlText, svaText, err := core.CompileProperties(ctx, spec)
 	if err != nil {
@@ -187,6 +190,10 @@ func (s *Server) runVerify(ctx context.Context, w http.ResponseWriter, dump io.R
 		s.writeError(w, statusForCtxErr(err), "request cancelled: "+err.Error(), nil)
 		return
 	}
+	rc := http.NewResponseController(w)
+	// HTTP/2 is full duplex already; ErrNotSupported then changes nothing.
+	_ = rc.EnableFullDuplex()
+	defer finishBody(ctx, w, r.Body) // after the slot is released
 	defer s.release()
 	s.inflight.Inc()
 	defer s.inflight.Dec()
@@ -200,17 +207,16 @@ func (s *Server) runVerify(ctx context.Context, w http.ResponseWriter, dump io.R
 	} else {
 		w.Header().Set("X-Cache", "miss")
 	}
-	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	writeLine := func(v any) {
+		// A write or flush fails only once the client has gone, and the
+		// decode then ends on the request's cancelled context.
 		_ = enc.Encode(v)
-		if flusher != nil {
-			flusher.Flush()
-		}
+		_ = rc.Flush()
 	}
 	writeLine(verifySpecLine{
 		Type:        "spec",
-		RequestID:   rid,
+		RequestID:   requestID(r),
 		InputHash:   inputHash,
 		Cached:      cached,
 		Nodes:       len(p.Nodes),
@@ -218,13 +224,10 @@ func (s *Server) runVerify(ctx context.Context, w http.ResponseWriter, dump io.R
 		LTL:         ltlText,
 		SVA:         svaText,
 	})
-	out, err := core.VerifyStream(ctx, spec, io.LimitReader(dump, s.cfg.MaxVCDBytes+1),
+	out, err := core.VerifyStream(ctx, spec, &limitedDump{r: dump, n: s.cfg.MaxVCDBytes, max: s.cfg.MaxVCDBytes},
 		func(v monitor.Verdict) {
 			writeLine(verifyVerdictLine{Type: "verdict", Verdict: v})
 		}, s.verifyMetrics)
-	if err == nil && out.TraceBytes > s.cfg.MaxVCDBytes {
-		err = fmt.Errorf("vcd exceeds the %d-byte limit", s.cfg.MaxVCDBytes)
-	}
 	if err != nil {
 		// The 200 status is committed; the failure travels as the stream's
 		// final line instead.
@@ -238,4 +241,71 @@ func (s *Server) runVerify(ctx context.Context, w http.ResponseWriter, dump io.R
 		TraceBytes: out.TraceBytes,
 		EventTimes: out.Result.EventTimes,
 	})
+}
+
+// limitedDump passes a dump through until it proves longer than max
+// bytes, then fails the read, so the decoder stops at the limit without
+// parsing the line the limit cut.
+type limitedDump struct {
+	r      io.Reader
+	n, max int64 // bytes still allowed, and the limit
+}
+
+func (l *limitedDump) Read(p []byte) (int, error) {
+	if int64(len(p)) > l.n+1 {
+		p = p[:l.n+1]
+	}
+	n, err := l.r.Read(p)
+	if int64(n) > l.n {
+		return int(l.n), fmt.Errorf("vcd exceeds the %d-byte limit", l.max)
+	}
+	l.n -= int64(n)
+	return n, err
+}
+
+// maxBodyTail bounds what finishBody reads after the verification ends.
+const maxBodyTail = 1 << 20
+
+// finishBody reads the request body to its end before a full-duplex
+// handler returns: net/http would drain it after the handler, starting a
+// background read that the connection's next request collides with
+// ("invalid concurrent Body.Read call"). After the vcd part only the
+// multipart epilogue is left. More than maxBodyTail left ends the
+// connection after the response, as net/http does for any body over a
+// limit; a body not ended by the request's deadline, or whose read
+// fails, has its connection closed under the response.
+func finishBody(ctx context.Context, w http.ResponseWriter, body io.ReadCloser) {
+	rc := http.NewResponseController(w)
+	if ctx.Err() == nil {
+		if d, ok := ctx.Deadline(); ok {
+			_ = rc.SetReadDeadline(d)
+		}
+		_, err := io.Copy(io.Discard, http.MaxBytesReader(serverWriter(w), body, maxBodyTail))
+		var tooLong *http.MaxBytesError
+		switch {
+		case err == nil:
+			// A body that ended before this call has left net/http's
+			// background read waiting on the connection; it must not
+			// time out on this request's deadline.
+			_ = rc.SetReadDeadline(time.Time{})
+			return
+		case errors.As(err, &tooLong):
+			return
+		}
+	}
+	if conn, _, err := rc.Hijack(); err == nil {
+		_ = conn.Close()
+	}
+}
+
+// serverWriter follows Unwrap down to net/http's own ResponseWriter, the
+// one http.MaxBytesReader can tell to close the connection.
+func serverWriter(w http.ResponseWriter) http.ResponseWriter {
+	for {
+		u, ok := w.(interface{ Unwrap() http.ResponseWriter })
+		if !ok {
+			return w
+		}
+		w = u.Unwrap()
+	}
 }

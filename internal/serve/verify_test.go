@@ -4,15 +4,24 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"mime/multipart"
+	"net"
 	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
+	"os"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tdmagic/internal/monitor"
+	"tdmagic/internal/obs"
 	"tdmagic/internal/spo"
 	"tdmagic/internal/store"
 	"tdmagic/internal/vcd"
@@ -460,5 +469,229 @@ func TestVerifyVCDLimitInBand(t *testing.T) {
 	}))
 	if len(st.Errors) == 0 {
 		t.Fatalf("no in-band error for over-limit dump: %+v", st.Summary)
+	}
+}
+
+// TestVerifyVCDLimitExact sweeps MaxVCDBytes over every cut of the golden
+// dump: wherever the limit falls, inside a line or at its end, the error
+// line names the limit and nothing else. A line the limit cuts is never
+// decoded, so it can never read as a bad or out-of-order timestamp.
+func TestVerifyVCDLimitExact(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	defer ts.Close()
+	_, p, hash := goldenSample(t, ts.URL)
+	clean := synthVCD(t, p, "", 0)
+	body, ctype := verifyBody(t, []vpart{{"ref", []byte(hash)}, {"vcd", clean}})
+	for limit := int64(1); limit < int64(len(clean)); limit++ {
+		s.cfg.MaxVCDBytes = limit
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/verify", bytes.NewReader(body.Bytes()))
+		req.Header.Set("Content-Type", ctype)
+		s.Handler().ServeHTTP(rec, req)
+		st := readVerifyStream(t, rec.Result())
+		want := fmt.Sprintf("vcd exceeds the %d-byte limit", limit)
+		if len(st.Errors) != 1 || st.Errors[0].Error != want {
+			t.Fatalf("limit %d of a %d-byte dump: error lines %+v, want exactly %q", limit, len(clean), st.Errors, want)
+		}
+	}
+}
+
+// rawPost is an HTTP/1.1 POST of a body of n bytes to path, header only.
+func rawPost(host, path, ctype string, n int, extra string) []byte {
+	return []byte(fmt.Sprintf("POST %s HTTP/1.1\r\nHost: %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n%s\r\n", path, host, ctype, n, extra))
+}
+
+// streamLines reads one NDJSON response off br in the background and
+// sends its lines; the channel closes at the end of the response, and
+// errc then holds the status or read error, or nil.
+func streamLines(br *bufio.Reader) (<-chan string, <-chan error) {
+	lines, errc := make(chan string), make(chan error, 1)
+	go func() {
+		defer close(lines)
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			errc <- err
+			return
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			errc <- fmt.Errorf("status %d", resp.StatusCode)
+			return
+		}
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 1<<20), 1<<20)
+		for sc.Scan() {
+			lines <- sc.Text()
+		}
+		errc <- sc.Err()
+	}()
+	return lines, errc
+}
+
+// TestVerifyKeepAliveAfterStreaming runs two verifications over one kept-
+// alive connection. The first holds back the last two bytes of its body,
+// the CRLF after the closing boundary, until its summary line has arrived
+// or a second has passed: a handler that streams while the body uploads
+// has answered in full by then, with the body not yet at its end. The
+// second request on the same connection must still be answered in full.
+func TestVerifyKeepAliveAfterStreaming(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	defer ts.Close()
+	_, p, hash := goldenSample(t, ts.URL)
+	body, ctype := verifyBody(t, []vpart{{"ref", []byte(hash)}, {"vcd", synthVCD(t, p, "", 0)}})
+	raw := body.Bytes()
+	host := ts.Listener.Addr().String()
+	conn, err := net.Dial("tcp", host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	send := func(b []byte) {
+		t.Helper()
+		if _, err := conn.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	send(append(rawPost(host, "/v1/verify", ctype, len(raw), ""), raw[:len(raw)-2]...))
+	lines, errc := streamLines(br)
+	var first []string
+	timer := time.NewTimer(time.Second)
+	defer timer.Stop()
+wait:
+	for !slices.ContainsFunc(first, isSummary) {
+		select {
+		case l, ok := <-lines:
+			if !ok {
+				break wait
+			}
+			first = append(first, l)
+		case <-timer.C:
+			break wait
+		}
+	}
+	send(raw[len(raw)-2:])
+	for l := range lines {
+		first = append(first, l)
+	}
+	if err := <-errc; err != nil || !slices.ContainsFunc(first, isSummary) {
+		t.Fatalf("request 1: %v, lines %q; want a summary line", err, first)
+	}
+
+	send(append(rawPost(host, "/v1/verify", ctype, len(raw), ""), raw...))
+	lines, errc = streamLines(br)
+	var second []string
+	for l := range lines {
+		second = append(second, l)
+	}
+	if err := <-errc; err != nil || !slices.ContainsFunc(second, isSummary) {
+		t.Fatalf("request 2 on the kept-alive connection: %v, lines %q; want a summary line", err, second)
+	}
+}
+
+func isSummary(line string) bool { return strings.Contains(line, `"type":"summary"`) }
+
+// TestVerifyGivesUpConnection covers the two ways a verification gives
+// its connection up instead of reading its body to the end. A dump that
+// fails on its first change line and then runs on for 2 MiB leaves more
+// than the handler reads after its error line: the response ends as
+// usual, then the connection. A dump still uploading when the request's
+// deadline passes has its connection closed under the response. Either
+// way the client gets the error line, the connection is never reused,
+// and the request leaves its flight entry and its tdverify_* bytes.
+func TestVerifyGivesUpConnection(t *testing.T) {
+	rec := obs.NewRecorder(obs.RecorderConfig{})
+	s, ts := newTestServer(t, Config{Workers: 2, Flight: rec, VerifyTimeout: 300 * time.Millisecond})
+	defer ts.Close()
+	_, _, hash := goldenSample(t, ts.URL)
+	head := "$var wire 1 ! w $end\n$enddefinitions $end\n#0\n"
+	changes := strings.Repeat("1!\n0!\n", 2048)
+
+	cases := []struct {
+		name, wantErr string
+		clean         bool // the response ends in full before the close
+		// upload writes the vcd part's bytes after head, then rest, the
+		// body's end.
+		upload func(w io.Writer, rest []byte)
+	}{
+		{"long tail", "line 4: unrecognised value change", true, func(w io.Writer, rest []byte) {
+			_, _ = w.Write(append([]byte("qqq\n"+strings.Repeat("#1\n", 700<<10)), rest...))
+		}},
+		{"deadline", "context deadline exceeded", false, func(w io.Writer, rest []byte) {
+			for i := 0; i < 30; i++ {
+				if _, err := w.Write([]byte(changes)); err != nil {
+					return
+				}
+				time.Sleep(50 * time.Millisecond)
+			}
+			_, _ = w.Write(rest)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Chunked, so the body can be written as it goes.
+			body, ctype := verifyBody(t, []vpart{{"ref", []byte(hash)}, {"vcd", []byte(head)}})
+			raw := body.Bytes()
+			cut := bytes.Index(raw, []byte(head)) + len(head)
+			host := ts.Listener.Addr().String()
+			conn, err := net.Dial("tcp", host)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			bytesBefore := s.verifyMetrics.TraceBytes.Value()
+			rid := "give-up-" + strings.ReplaceAll(tc.name, " ", "-")
+
+			// The server stops reading partway, so the upload may end in
+			// a write error; it runs beside the response.
+			wrote := make(chan struct{})
+			go func() {
+				defer close(wrote)
+				cw := httputil.NewChunkedWriter(conn)
+				header := fmt.Sprintf("POST /v1/verify HTTP/1.1\r\nHost: %s\r\nContent-Type: %s\r\nTransfer-Encoding: chunked\r\nX-Request-ID: %s\r\n\r\n", host, ctype, rid)
+				if _, err := io.WriteString(conn, header); err != nil {
+					return
+				}
+				if _, err := cw.Write(raw[:cut]); err != nil {
+					return
+				}
+				tc.upload(cw, raw[cut:])
+				if cw.Close() == nil {
+					_, _ = io.WriteString(conn, "\r\n")
+				}
+			}()
+			lines, errc := streamLines(bufio.NewReader(conn))
+			var got []string
+			for l := range lines {
+				got = append(got, l)
+			}
+			err = <-errc
+			if len(got) != 2 || !strings.Contains(got[1], `"type":"error"`) || !strings.Contains(got[1], tc.wantErr) {
+				t.Fatalf("lines %q, want the spec line and an error line with %q", got, tc.wantErr)
+			}
+			if clean := err == nil; clean != tc.clean {
+				t.Fatalf("response ended with %v; want a clean end %v", err, tc.clean)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if n, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("connection still open after the response (read %d bytes, %v)", n, err)
+			}
+			<-wrote
+			if d := s.verifyMetrics.TraceBytes.Value() - bytesBefore; d <= 0 {
+				t.Errorf("tdverify_trace_bytes_total rose by %d, want the bytes decoded", d)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				dump := rec.Snapshot(obs.FlightFilter{RequestID: rid})
+				if all := append(dump.Entries, dump.Pinned...); len(all) == 1 && all[0].Name == "verify" {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("no verify flight entry for the request: %+v", dump)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }

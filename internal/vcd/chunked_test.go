@@ -15,10 +15,30 @@ import (
 
 // TestChunkedDecodeTdbenchShape decodes dumps shaped like the benchmark's
 // verify_stream traffic — synthesized constrained edges, then a long
-// toggle tail on 1-bit wires and real variables, at least 256 KiB — one
-// byte at a time and in halved reads, and requires the whole-buffer
-// decode's events and error.
+// toggle tail on 1-bit wires and real variables, at least 256 KiB —
+// whole, one byte at a time and in halved reads, and requires the
+// oracle's events and error.
 func TestChunkedDecodeTdbenchShape(t *testing.T) {
+	tr := goldenTrace(t)
+	for seed := int64(1); seed <= 3; seed++ {
+		doc := tdbenchShaped(t, tr, rand.New(rand.NewSource(seed)), 256<<10)
+		checkAgainstOracle(t, doc)
+		whole, errText := decodeVia(doc, func(r io.Reader) io.Reader { return r }, false)
+		if errText != "" || len(whole) < 10000 {
+			t.Fatalf("seed %d: %d events, error %q; want a clean decode of a long dump", seed, len(whole), errText)
+		}
+		if !slices.Contains(whole, `declare "bench_clk" true`) || !slices.Contains(whole, `declare "bench_vref" false`) {
+			t.Fatalf("seed %d: declarations %v, want bench_clk a wire and bench_vref real", seed, whole[:5])
+		}
+		// A cut mid-line must fail the same way however the bytes arrive.
+		checkAgainstOracle(t, doc[:len(doc)/2]+"b2foo")
+	}
+}
+
+// goldenTrace synthesizes a trace satisfying a three-node specification:
+// the constrained edges that open every benchmark dump.
+func goldenTrace(t testing.TB) *trace.Trace {
+	t.Helper()
 	p := &spo.SPO{
 		Nodes: []spo.Node{
 			{Signal: "CLK", Type: spo.RiseStep, EdgeIndex: 1, Threshold: spo.NoThreshold},
@@ -31,26 +51,14 @@ func TestChunkedDecodeTdbenchShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seed := int64(1); seed <= 3; seed++ {
-		doc := tdbenchShaped(t, tr, rand.New(rand.NewSource(seed)), 256<<10)
-		checkChunking(t, doc)
-		whole, errText := decodeVia(doc, func(r io.Reader) io.Reader { return r })
-		if errText != "" || len(whole) < 10000 {
-			t.Fatalf("seed %d: %d events, error %q; want a clean decode of a long dump", seed, len(whole), errText)
-		}
-		if !slices.Contains(whole, `declare "bench_clk" true`) || !slices.Contains(whole, `declare "bench_vref" false`) {
-			t.Fatalf("seed %d: declarations %v, want bench_clk a wire and bench_vref real", seed, whole[:5])
-		}
-		// A cut mid-line must fail the same way however the bytes arrive.
-		checkChunking(t, doc[:len(doc)/2]+"b2foo")
-	}
+	return tr
 }
 
 // tdbenchShaped writes tr plus a toggle tail with vcd.Write — the tail's
 // square waves on CLK and bench_clk, a ripple on the real bench_vref —
 // then rewrites the square waves as 1-bit wires, until the dump is at
 // least size bytes.
-func tdbenchShaped(t *testing.T, tr *trace.Trace, r *rand.Rand, size int) string {
+func tdbenchShaped(t testing.TB, tr *trace.Trace, r *rand.Rand, size int) string {
 	t.Helper()
 	out := &trace.Trace{}
 	end := 0.0

@@ -12,10 +12,10 @@ import (
 
 // FuzzParse feeds arbitrary documents to the VCD parser. The parser must
 // never panic, and every trace it does accept must be well-formed:
-// finite, monotonically timestamped samples only. The streaming decoder
-// must also not care how the bytes arrive: read one byte at a time or in
-// halved reads, as off a network stream, a document gives the same
-// events and the same error as read from one whole buffer.
+// finite, monotonically timestamped samples only. The byte decoder must
+// also agree with the line decoder it replaced (oracleDecoder): read from
+// one whole buffer, one byte at a time or in halved reads, as off a
+// network stream, a document gives the oracle's events and error text.
 func FuzzParse(f *testing.F) {
 	f.Add(sampleVCD)
 	f.Add("$enddefinitions $end\n#0\n")
@@ -34,8 +34,11 @@ func FuzzParse(f *testing.F) {
 	// IEEE 1364 restricts timescale magnitudes to 1/10/100.
 	f.Add("$timescale 5ns $end\n$enddefinitions $end\n")
 	f.Add("$timescale 100 us $end\n$var real 64 ! v $end\n$enddefinitions $end\n#0\nr0.5 !\n")
+	// Timestamps and real values on both sides of the decoder's decimal
+	// shortcut: signs, bare points, 15 and 16 digits, exponents.
+	f.Add("$var real 64 ! v $end\n$enddefinitions $end\n#007\nr-0 !\n#8.\nr+.5 !\n#9\nr0.123456789012345 !\n#10\nr0.1234567890123456 !\n#1e2\nr1e-3 !\n")
 	f.Fuzz(func(t *testing.T, doc string) {
-		checkChunking(t, doc)
+		checkAgainstOracle(t, doc)
 		tr, err := Parse(strings.NewReader(doc))
 		if err != nil {
 			return
@@ -69,34 +72,54 @@ func (r *recorder) Change(h int, t, v float64) error {
 	return nil
 }
 
-// decodeVia streams doc through a Decoder reading from wrap's reader and
-// returns the events and the error text.
-func decodeVia(doc string, wrap func(io.Reader) io.Reader) ([]string, string) {
+// decodeVia streams doc through the byte decoder, or the oracle, reading
+// from wrap's reader, and returns the events and the error text.
+func decodeVia(doc string, wrap func(io.Reader) io.Reader, oracle bool) ([]string, string) {
 	rec := &recorder{}
-	err := NewDecoder(wrap(strings.NewReader(doc)), rec).Run()
+	r := wrap(strings.NewReader(doc))
+	var err error
+	if oracle {
+		err = newOracleDecoder(r, rec).Run()
+	} else {
+		err = NewDecoder(r, rec).Run()
+	}
 	if err != nil {
 		return rec.events, err.Error()
 	}
 	return rec.events, ""
 }
 
-// checkChunking requires the decodes of doc through iotest.OneByteReader
-// and iotest.HalfReader to equal its whole-buffer decode.
-func checkChunking(t *testing.T, doc string) {
+// readModes are the ways a document's bytes arrive in the tests.
+var readModes = []struct {
+	name string
+	wrap func(io.Reader) io.Reader
+}{
+	{"whole", func(r io.Reader) io.Reader { return r }},
+	{"one byte", iotest.OneByteReader},
+	{"half", iotest.HalfReader},
+}
+
+// checkAgainstOracle requires the byte decoder's events and error text for
+// doc to equal the oracle's, both reading in each of the readModes.
+func checkAgainstOracle(t *testing.T, doc string) {
 	t.Helper()
-	whole, wholeErr := decodeVia(doc, func(r io.Reader) io.Reader { return r })
-	for name, wrap := range map[string]func(io.Reader) io.Reader{
-		"one byte": iotest.OneByteReader,
-		"half":     iotest.HalfReader,
-	} {
-		events, err := decodeVia(doc, wrap)
-		if err != wholeErr {
-			t.Fatalf("%s reads: error %q, whole buffer %q", name, err, wholeErr)
-		}
-		if !slices.Equal(events, whole) {
-			t.Fatalf("%s reads: %d events, whole buffer %d; first %v vs %v",
-				name, len(events), len(whole), head(events), head(whole))
-		}
+	for _, m := range readModes {
+		want, wantErr := decodeVia(doc, m.wrap, true)
+		checkDecode(t, doc, m.name, m.wrap, want, wantErr)
+	}
+}
+
+// checkDecode requires the byte decoder, reading doc through wrap, to give
+// the events want and the error text wantErr.
+func checkDecode(t *testing.T, doc, mode string, wrap func(io.Reader) io.Reader, want []string, wantErr string) {
+	t.Helper()
+	events, err := decodeVia(doc, wrap, false)
+	if err != wantErr {
+		t.Fatalf("%s reads: error %q, oracle %q", mode, err, wantErr)
+	}
+	if !slices.Equal(events, want) {
+		t.Fatalf("%s reads: %d events, oracle %d; first %v vs %v",
+			mode, len(events), len(want), head(events), head(want))
 	}
 }
 

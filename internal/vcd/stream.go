@@ -7,6 +7,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Sink receives decoded value-change events from a Decoder. Declare is
@@ -24,23 +26,33 @@ type Sink interface {
 // Decoder incrementally parses a VCD document, emitting each decoded
 // sample to a Sink as it is read instead of materializing a trace. It
 // retains O(declared signals) state, so arbitrarily large dumps stream in
-// constant memory per signal.
+// constant memory per signal. It decodes on bytes: a line is a slice of
+// the read buffer and its fields are slices of the line, so a value
+// change allocates nothing.
 type Decoder struct {
 	sink Sink
 	cr   *countReader
-	sc   *bufio.Scanner
+	br   *bufio.Reader
 
-	ids   map[string]int // var id code -> sink handle
-	state map[int]*holdState
+	long   []byte   // a line longer than br's buffer, gathered
+	fields [][]byte // the current line's fields
+
+	ids   map[string]int // var id code -> index into holds
+	holds []holdState    // one per distinct sink handle
 }
 
-// holdState tracks the last emitted sample per handle, for digital
+// holdState tracks the last sample emitted to one sink handle, for digital
 // hold-point expansion (VCD step semantics: the old value persists right
 // up to the change instant).
 type holdState struct {
+	h    int
 	t, v float64
 	has  bool
 }
+
+// maxLine caps a line, its newline included; a longer line fails with
+// bufio.ErrTooLong.
+const maxLine = 1 << 22
 
 type countReader struct {
 	r io.Reader
@@ -57,14 +69,11 @@ func (c *countReader) Read(p []byte) (int, error) {
 // consume the document.
 func NewDecoder(r io.Reader, sink Sink) *Decoder {
 	cr := &countReader{r: r}
-	sc := bufio.NewScanner(cr)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	return &Decoder{
-		sink:  sink,
-		cr:    cr,
-		sc:    sc,
-		ids:   map[string]int{},
-		state: map[int]*holdState{},
+		sink: sink,
+		cr:   cr,
+		br:   bufio.NewReaderSize(cr, 1<<16),
+		ids:  map[string]int{},
 	}
 }
 
@@ -76,73 +85,90 @@ func (d *Decoder) Bytes() int64 { return d.cr.n }
 // format core, Run validates what the old whole-trace parser let through
 // silently: timestamps must be non-decreasing, vector changes may use only
 // the bit characters 0/1/x/z/X/Z, and $timescale magnitudes are restricted
-// to 1/10/100 per IEEE 1364.
+// to 1/10/100 per IEEE 1364. An error reading the input is returned as
+// it came, without a position, and the line it cut short is not parsed.
 func (d *Decoder) Run() error {
 	var scope []string
 	now := 0.0
 	scale := 1.0
 	inDefs := true
-	lineNo := 0
+	slot := map[int]int{} // sink handle -> index into d.holds
 
-	for d.sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(d.sc.Text())
-		if line == "" {
+	for lineNo := 1; ; lineNo++ {
+		line, err := d.line()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		fields := d.split(line)
+		if len(fields) == 0 {
 			continue
 		}
-		fields := strings.Fields(line)
+		f0 := fields[0]
 		switch {
-		case inDefs && fields[0] == "$timescale":
+		case inDefs && string(f0) == "$timescale":
 			// Either inline ("$timescale 1ns $end") or the value on the
 			// next lines; gather tokens until $end.
-			toks := fields[1:]
-			for !contains(toks, "$end") && d.sc.Scan() {
+			toks := strings.Fields(string(line))[1:]
+			for !contains(toks, "$end") {
+				line, err := d.line()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					return err
+				}
 				lineNo++
-				toks = append(toks, strings.Fields(d.sc.Text())...)
+				toks = append(toks, strings.Fields(string(line))...)
 			}
 			s, err := parseTimescale(toks)
 			if err != nil {
 				return fmt.Errorf("vcd: line %d: %w", lineNo, err)
 			}
 			scale = s
-		case inDefs && fields[0] == "$scope":
+		case inDefs && string(f0) == "$scope":
 			if len(fields) >= 3 {
-				scope = append(scope, fields[2])
+				scope = append(scope, string(fields[2]))
 			}
-		case inDefs && fields[0] == "$upscope":
+		case inDefs && string(f0) == "$upscope":
 			if len(scope) > 0 {
 				scope = scope[:len(scope)-1]
 			}
-		case inDefs && fields[0] == "$var":
+		case inDefs && string(f0) == "$var":
 			// $var <kind> <width> <id> <ref> [indices] $end
 			if len(fields) < 5 {
 				return fmt.Errorf("vcd: line %d: malformed $var", lineNo)
 			}
-			kind, width, id, name := fields[1], fields[2], fields[3], fields[4]
+			name := string(fields[4])
 			if len(scope) > 0 {
 				name = strings.Join(scope, ".") + "." + name
 			}
-			binary := kind != "real" && width == "1"
+			binary := string(fields[1]) != "real" && string(fields[2]) == "1"
 			h := d.sink.Declare(name, binary)
-			d.ids[id] = h
-			if d.state[h] == nil {
-				d.state[h] = &holdState{}
+			i, ok := slot[h]
+			if !ok {
+				i = len(d.holds)
+				slot[h] = i
+				d.holds = append(d.holds, holdState{h: h})
 			}
-		case fields[0] == "$enddefinitions":
+			d.ids[string(fields[3])] = i
+		case string(f0) == "$enddefinitions":
 			inDefs = false
-		case strings.HasPrefix(fields[0], "$"):
+		case f0[0] == '$':
 			// $comment/$date/$version/$dumpvars/$dumpall/$end...: skip.
-		case strings.HasPrefix(fields[0], "#"):
-			t, err := strconv.ParseFloat(fields[0][1:], 64)
+		case f0[0] == '#':
+			t, err := parseFloat(f0[1:])
 			// ParseFloat accepts "NaN"/"Inf"; a non-finite or negative
 			// timestamp would poison the trace's monotonicity check
 			// (NaN compares false against everything), so reject here.
 			if err != nil || math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
-				return fmt.Errorf("vcd: line %d: bad timestamp %q", lineNo, fields[0])
+				return fmt.Errorf("vcd: line %d: bad timestamp %q", lineNo, f0)
 			}
 			nt := t * scale
 			if nt < now {
-				return fmt.Errorf("vcd: line %d: timestamp %q before previous time", lineNo, fields[0])
+				return fmt.Errorf("vcd: line %d: timestamp %q before previous time", lineNo, f0)
 			}
 			now = nt
 		default:
@@ -151,18 +177,109 @@ func (d *Decoder) Run() error {
 			}
 		}
 	}
-	if err := d.sc.Err(); err != nil {
-		return err
-	}
-	return nil
 }
+
+// line returns the next line, newline included, valid until the next
+// call; a last line may lack its newline. It returns io.EOF once the input
+// is used up, and a read error as it came, never the line it cut short.
+func (d *Decoder) line() ([]byte, error) {
+	b, err := d.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		d.long = append(d.long[:0], b...)
+		for err == bufio.ErrBufferFull && len(d.long) < maxLine {
+			b, err = d.br.ReadSlice('\n')
+			d.long = append(d.long, b...)
+		}
+		b = d.long
+		// Without a newline, as at io.EOF, all of b is the line's text.
+		if n := len(b); n > maxLine || n == maxLine && err != nil {
+			return nil, bufio.ErrTooLong
+		}
+	}
+	if err == nil || err == io.EOF && len(b) > 0 {
+		return b, nil
+	}
+	return nil, err
+}
+
+// byteClass sorts bytes for split: 0 is part of a field, 1 is an ASCII
+// space, and 2 starts a multi-byte rune, which may be a space too.
+var byteClass = func() (c [256]uint8) {
+	for _, b := range "\t\n\v\f\r " {
+		c[b] = 1
+	}
+	for b := utf8.RuneSelf; b < len(c); b++ {
+		c[b] = 2
+	}
+	return c
+}()
+
+// split cuts line into fields as strings.Fields does, at runs of
+// unicode.IsSpace (U+0085 and U+00A0 included). The fields are slices of
+// line, held in d.fields until the next call.
+func (d *Decoder) split(line []byte) [][]byte {
+	f := d.fields[:0]
+	start := -1
+	for i := 0; i < len(line); {
+		size, space := 1, false
+		switch byteClass[line[i]] {
+		case 1:
+			space = true
+		case 2:
+			var r rune
+			r, size = utf8.DecodeRune(line[i:])
+			space = unicode.IsSpace(r)
+		}
+		switch {
+		case space && start >= 0:
+			f = append(f, line[start:i])
+			start = -1
+		case !space && start < 0:
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		f = append(f, line[start:])
+	}
+	d.fields = f
+	return f
+}
+
+// parseFloat is strconv.ParseFloat(string(b), 64), with a shortcut for
+// the unsigned decimals of a dump: at most 15 digits make an exact
+// float64, and one division by an exact power of ten rounds it correctly,
+// to the value ParseFloat returns.
+func parseFloat(b []byte) (float64, error) {
+	n, digits, frac := uint64(0), 0, -1 // frac counts digits after a point
+	for _, c := range b {
+		switch {
+		case '0' <= c && c <= '9' && digits < 15:
+			n = n*10 + uint64(c-'0')
+			digits++
+			if frac >= 0 {
+				frac++
+			}
+		case c == '.' && frac < 0:
+			frac = 0
+		default:
+			return strconv.ParseFloat(string(b), 64)
+		}
+	}
+	if digits == 0 {
+		return strconv.ParseFloat(string(b), 64)
+	}
+	return float64(n) / pow10[max(frac, 0)], nil
+}
+
+var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
 
 // valueChange applies one value-change line. Digital changes (scalar and
 // vector) follow VCD's hold semantics: the old value persists until the
 // change instant, so a hold point is emitted before the new value to keep
 // the piecewise-linear signal a step function. Real changes are analog
 // samples and interpolate linearly as recorded.
-func (d *Decoder) valueChange(now float64, fields []string) error {
+func (d *Decoder) valueChange(now float64, fields [][]byte) error {
 	tok := fields[0]
 	switch tok[0] {
 	case '0', '1', 'x', 'X', 'z', 'Z':
@@ -170,21 +287,21 @@ func (d *Decoder) valueChange(now float64, fields []string) error {
 		if len(tok) < 2 {
 			return fmt.Errorf("malformed scalar change %q", tok)
 		}
-		h, ok := d.ids[tok[1:]]
+		i, ok := d.ids[string(tok[1:])]
 		if !ok {
 			return fmt.Errorf("unknown id %q", tok[1:])
 		}
-		return d.emitStep(h, now, scalarValue(tok[0]))
+		return d.emitStep(&d.holds[i], now, scalarValue(tok[0]))
 	case 'b', 'B':
 		if len(fields) < 2 {
 			return fmt.Errorf("vector change missing id: %q", tok)
 		}
-		h, ok := d.ids[fields[1]]
+		i, ok := d.ids[string(fields[1])]
 		if !ok {
 			return fmt.Errorf("unknown id %q", fields[1])
 		}
 		v := 0.0
-		for _, bit := range tok[1:] {
+		for j, bit := range tok[1:] {
 			v *= 2
 			switch bit {
 			case '1':
@@ -192,43 +309,43 @@ func (d *Decoder) valueChange(now float64, fields []string) error {
 			case '0', 'x', 'X', 'z', 'Z':
 				// x/z resolve low.
 			default:
-				return fmt.Errorf("invalid bit %q in vector change %q", bit, tok)
+				r, _ := utf8.DecodeRune(tok[1+j:])
+				return fmt.Errorf("invalid bit %q in vector change %q", r, tok)
 			}
 		}
-		return d.emitStep(h, now, v)
+		return d.emitStep(&d.holds[i], now, v)
 	case 'r', 'R':
 		if len(fields) < 2 {
 			return fmt.Errorf("real change missing id: %q", tok)
 		}
-		h, ok := d.ids[fields[1]]
+		i, ok := d.ids[string(fields[1])]
 		if !ok {
 			return fmt.Errorf("unknown id %q", fields[1])
 		}
-		v, err := strconv.ParseFloat(tok[1:], 64)
+		v, err := parseFloat(tok[1:])
 		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("bad real value %q", tok)
 		}
-		return d.emit(h, now, v)
+		return d.emit(&d.holds[i], now, v)
 	}
 	return fmt.Errorf("unrecognised value change %q", tok)
 }
 
 // emitStep records a digital change: the previous value is held right up
 // to the change instant.
-func (d *Decoder) emitStep(h int, now, v float64) error {
-	if st := d.state[h]; st.has && st.v != v && st.t < now {
-		if err := d.emit(h, now, st.v); err != nil {
+func (d *Decoder) emitStep(st *holdState, now, v float64) error {
+	if st.has && st.v != v && st.t < now {
+		if err := d.emit(st, now, st.v); err != nil {
 			return err
 		}
 	}
-	return d.emit(h, now, v)
+	return d.emit(st, now, v)
 }
 
-func (d *Decoder) emit(h int, t, v float64) error {
-	if err := d.sink.Change(h, t, v); err != nil {
+func (d *Decoder) emit(st *holdState, t, v float64) error {
+	if err := d.sink.Change(st.h, t, v); err != nil {
 		return err
 	}
-	st := d.state[h]
 	st.t, st.v, st.has = t, v, true
 	return nil
 }
