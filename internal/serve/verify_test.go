@@ -496,16 +496,19 @@ func TestVerifyVCDLimitExact(t *testing.T) {
 	}
 }
 
-// rawPost is an HTTP/1.1 POST of a body of n bytes to path, header only.
-func rawPost(host, path, ctype string, n int, extra string) []byte {
-	return []byte(fmt.Sprintf("POST %s HTTP/1.1\r\nHost: %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n%s\r\n", path, host, ctype, n, extra))
+// verifyHeader is the header of an HTTP/1.1 POST to /v1/verify with a
+// body of n bytes.
+func verifyHeader(host, ctype string, n int) []byte {
+	return []byte(fmt.Sprintf("POST /v1/verify HTTP/1.1\r\nHost: %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n", host, ctype, n))
 }
 
 // streamLines reads one NDJSON response off br in the background and
 // sends its lines; the channel closes at the end of the response, and
 // errc then holds the status or read error, or nil.
 func streamLines(br *bufio.Reader) (<-chan string, <-chan error) {
-	lines, errc := make(chan string), make(chan error, 1)
+	// A verify response's lines fit the buffer, so the reader finishes
+	// even when a failing test stops receiving.
+	lines, errc := make(chan string, 64), make(chan error, 1)
 	go func() {
 		defer close(lines)
 		resp, err := http.ReadResponse(br, nil)
@@ -554,7 +557,7 @@ func TestVerifyKeepAliveAfterStreaming(t *testing.T) {
 		}
 	}
 
-	send(append(rawPost(host, "/v1/verify", ctype, len(raw), ""), raw[:len(raw)-2]...))
+	send(append(verifyHeader(host, ctype, len(raw)), raw[:len(raw)-2]...))
 	lines, errc := streamLines(br)
 	var first []string
 	timer := time.NewTimer(time.Second)
@@ -579,7 +582,7 @@ wait:
 		t.Fatalf("request 1: %v, lines %q; want a summary line", err, first)
 	}
 
-	send(append(rawPost(host, "/v1/verify", ctype, len(raw), ""), raw...))
+	send(append(verifyHeader(host, ctype, len(raw)), raw...))
 	lines, errc = streamLines(br)
 	var second []string
 	for l := range lines {
