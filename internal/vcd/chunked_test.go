@@ -2,7 +2,6 @@ package vcd
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"slices"
 	"strings"
@@ -23,7 +22,7 @@ func TestChunkedDecodeTdbenchShape(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		doc := tdbenchShaped(t, tr, rand.New(rand.NewSource(seed)), 256<<10)
 		checkAgainstOracle(t, doc)
-		whole, errText := decodeVia(doc, func(r io.Reader) io.Reader { return r }, false)
+		whole, errText := decodeVia(doc, wholeReads, false)
 		if errText != "" || len(whole) < 10000 {
 			t.Fatalf("seed %d: %d events, error %q; want a clean decode of a long dump", seed, len(whole), errText)
 		}

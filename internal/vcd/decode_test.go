@@ -56,7 +56,7 @@ func TestDecoderLineCap(t *testing.T) {
 	for _, n := range []int{maxLine - 1, maxLine, maxLine + 100} {
 		for _, end := range []string{"\n", ""} {
 			doc := "$comment " + strings.Repeat("x", n-len("$comment ")) + end + "$enddefinitions $end\n"
-			want, wantErr := decodeVia(doc, func(r io.Reader) io.Reader { return r }, true)
+			want, wantErr := decodeVia(doc, wholeReads, true)
 			if n >= maxLine && wantErr != "bufio.Scanner: token too long" {
 				t.Fatalf("%d-byte line: oracle error %q, want the scanner's token too long", n, wantErr)
 			}
@@ -80,7 +80,7 @@ func TestDecoderPassesReadErrors(t *testing.T) {
 			t.Fatalf("cut at %d: error %v, want the read error as it came", k, err)
 		}
 		whole := sampleVCD[:strings.LastIndexByte(sampleVCD[:k], '\n')+1]
-		want, wantErr := decodeVia(whole, func(r io.Reader) io.Reader { return r }, true)
+		want, wantErr := decodeVia(whole, wholeReads, true)
 		if wantErr != "" || !slices.Equal(rec.events, want) {
 			t.Fatalf("cut at %d: %d events, oracle %d over the complete lines (error %q)", k, len(rec.events), len(want), wantErr)
 		}

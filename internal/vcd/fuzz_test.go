@@ -94,7 +94,7 @@ var readModes = []struct {
 	name string
 	wrap func(io.Reader) io.Reader
 }{
-	{"whole", func(r io.Reader) io.Reader { return r }},
+	{"whole", wholeReads},
 	{"one byte", iotest.OneByteReader},
 	{"half", iotest.HalfReader},
 }
@@ -122,5 +122,8 @@ func checkDecode(t *testing.T, doc, mode string, wrap func(io.Reader) io.Reader,
 			mode, len(events), len(want), head(events), head(want))
 	}
 }
+
+// wholeReads leaves r as it is: reads as large as the reader serves.
+func wholeReads(r io.Reader) io.Reader { return r }
 
 func head(events []string) []string { return events[:min(len(events), 4)] }
