@@ -25,8 +25,8 @@ import (
 	"mime"
 	"mime/multipart"
 	"net/http"
+	"os"
 	"strings"
-	"time"
 
 	"tdmagic/internal/core"
 	"tdmagic/internal/monitor"
@@ -89,6 +89,14 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.VerifyTimeout)
 	defer cancel()
+	// Every body read ends at the request's deadline, so a stalled upload
+	// cannot hold a worker slot past it. Set before the body is first
+	// read: net/http clears it when the body ends and its background read
+	// starts, so the deadline never lands on that read.
+	if r.Body != http.NoBody {
+		d, _ := ctx.Deadline()
+		_ = http.NewResponseController(w).SetReadDeadline(d)
+	}
 
 	var (
 		p         *spo.SPO
@@ -193,7 +201,7 @@ func (s *Server) runVerify(ctx context.Context, w http.ResponseWriter, r *http.R
 	rc := http.NewResponseController(w)
 	// HTTP/2 is full duplex already; ErrNotSupported then changes nothing.
 	_ = rc.EnableFullDuplex()
-	defer finishBody(ctx, w, r.Body) // after the slot is released
+	defer finishBody(w, r.Body) // after the slot is released
 	defer s.release()
 	s.inflight.Inc()
 	defer s.inflight.Dec()
@@ -229,6 +237,11 @@ func (s *Server) runVerify(ctx context.Context, w http.ResponseWriter, r *http.R
 			writeLine(verifyVerdictLine{Type: "verdict", Verdict: v})
 		}, s.verifyMetrics)
 	if err != nil {
+		// A body read the deadline cut reports the deadline, as one met
+		// between decode events does.
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			err = context.DeadlineExceeded
+		}
 		// The 200 status is committed; the failure travels as the stream's
 		// final line instead.
 		writeLine(verifyErrorLine{Type: "error", Error: err.Error()})
@@ -270,30 +283,19 @@ const maxBodyTail = 1 << 20
 // handler returns: net/http would drain it after the handler, starting a
 // background read that the connection's next request collides with
 // ("invalid concurrent Body.Read call"). After the vcd part only the
-// multipart epilogue is left. More than maxBodyTail left ends the
-// connection after the response, as net/http does for any body over a
-// limit; a body not ended by the request's deadline, or whose read
-// fails, has its connection closed under the response.
-func finishBody(ctx context.Context, w http.ResponseWriter, body io.ReadCloser) {
-	rc := http.NewResponseController(w)
-	if ctx.Err() == nil {
-		if d, ok := ctx.Deadline(); ok {
-			_ = rc.SetReadDeadline(d)
-		}
-		_, err := io.Copy(io.Discard, http.MaxBytesReader(serverWriter(w), body, maxBodyTail))
-		var tooLong *http.MaxBytesError
-		switch {
-		case err == nil:
-			// A body that ended before this call has left net/http's
-			// background read waiting on the connection; it must not
-			// time out on this request's deadline.
-			_ = rc.SetReadDeadline(time.Time{})
-			return
-		case errors.As(err, &tooLong):
-			return
-		}
+// multipart epilogue is left, read under handleVerify's deadline; a body
+// already at its end reads nothing, so a deadline that passed after it
+// ended costs nothing. More than maxBodyTail left ends the connection
+// after the response, as net/http does for any body over a limit; a read
+// that fails, at the deadline or because the client went, has the
+// connection closed under the response.
+func finishBody(w http.ResponseWriter, body io.ReadCloser) {
+	_, err := io.Copy(io.Discard, http.MaxBytesReader(serverWriter(w), body, maxBodyTail))
+	var tooLong *http.MaxBytesError
+	if err == nil || errors.As(err, &tooLong) {
+		return
 	}
-	if conn, _, err := rc.Hijack(); err == nil {
+	if conn, _, err := http.NewResponseController(w).Hijack(); err == nil {
 		_ = conn.Close()
 	}
 }

@@ -595,14 +595,73 @@ wait:
 
 func isSummary(line string) bool { return strings.Contains(line, `"type":"summary"`) }
 
+// slowSummary holds a verify response's summary line back for d.
+type slowSummary struct {
+	http.ResponseWriter
+	d time.Duration
+}
+
+func (w slowSummary) Write(b []byte) (int, error) {
+	if isSummary(string(b)) {
+		time.Sleep(w.d)
+	}
+	return w.ResponseWriter.Write(b)
+}
+
+func (w slowSummary) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// TestVerifyDeadlineAfterBodyEnds lets the request's deadline pass after
+// the body has ended and the dump has decoded, while the summary line is
+// written. Nothing of the body is left to read, so the response must end
+// in full, and the kept-alive connection must carry a second request
+// with its context live: a read deadline that lands on net/http's
+// background read after the body would cancel the connection's context.
+func TestVerifyDeadlineAfterBodyEnds(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2, VerifyTimeout: 200 * time.Millisecond})
+	defer ts.Close()
+	_, p, hash := goldenSample(t, ts.URL)
+	h := s.Handler()
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if err := r.Context().Err(); err != nil {
+			t.Errorf("request arrived with its context done: %v", err)
+		}
+		h.ServeHTTP(slowSummary{w, 400 * time.Millisecond}, r)
+	}))
+	defer slow.Close()
+	body, ctype := verifyBody(t, []vpart{{"ref", []byte(hash)}, {"vcd", synthVCD(t, p, "", 0)}})
+	raw := body.Bytes()
+	host := slow.Listener.Addr().String()
+	conn, err := net.Dial("tcp", host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	for i := 1; i <= 2; i++ {
+		if _, err := conn.Write(append(verifyHeader(host, ctype, len(raw)), raw...)); err != nil {
+			t.Fatal(err)
+		}
+		lines, errc := streamLines(br)
+		var got []string
+		for l := range lines {
+			got = append(got, l)
+		}
+		if err := <-errc; err != nil || !slices.ContainsFunc(got, isSummary) {
+			t.Fatalf("request %d: %v, lines %q; want a summary line and a clean end", i, err, got)
+		}
+	}
+}
+
 // TestVerifyGivesUpConnection covers the two ways a verification gives
 // its connection up instead of reading its body to the end. A dump that
 // fails on its first change line and then runs on for 2 MiB leaves more
 // than the handler reads after its error line: the response ends as
 // usual, then the connection. A dump still uploading when the request's
-// deadline passes has its connection closed under the response. Either
-// way the client gets the error line, the connection is never reused,
-// and the request leaves its flight entry and its tdverify_* bytes.
+// deadline passes, slowly or not at all, has its connection closed under
+// the response; a stalled upload is cut at the deadline, not when it
+// resumes. Each time the client gets the error line, the connection is
+// never reused, and the request leaves its flight entry and its
+// tdverify_* bytes.
 func TestVerifyGivesUpConnection(t *testing.T) {
 	rec := obs.NewRecorder(obs.RecorderConfig{})
 	s, ts := newTestServer(t, Config{Workers: 2, Flight: rec, VerifyTimeout: 300 * time.Millisecond})
@@ -615,18 +674,28 @@ func TestVerifyGivesUpConnection(t *testing.T) {
 		name, wantErr string
 		clean         bool // the response ends in full before the close
 		// upload writes the vcd part's bytes after head, then rest, the
-		// body's end.
-		upload func(w io.Writer, rest []byte)
+		// body's end; responded closes once the response has been read.
+		upload func(w io.Writer, rest []byte, responded <-chan struct{})
 	}{
-		{"long tail", "line 4: unrecognised value change", true, func(w io.Writer, rest []byte) {
+		{"long tail", "line 4: unrecognised value change", true, func(w io.Writer, rest []byte, _ <-chan struct{}) {
 			_, _ = w.Write(append([]byte("qqq\n"+strings.Repeat("#1\n", 700<<10)), rest...))
 		}},
-		{"deadline", "context deadline exceeded", false, func(w io.Writer, rest []byte) {
+		{"deadline", "context deadline exceeded", false, func(w io.Writer, rest []byte, _ <-chan struct{}) {
 			for i := 0; i < 30; i++ {
 				if _, err := w.Write([]byte(changes)); err != nil {
 					return
 				}
 				time.Sleep(50 * time.Millisecond)
+			}
+			_, _ = w.Write(rest)
+		}},
+		{"stall", "context deadline exceeded", false, func(w io.Writer, rest []byte, responded <-chan struct{}) {
+			if _, err := w.Write([]byte(changes)); err != nil {
+				return
+			}
+			select {
+			case <-responded:
+			case <-time.After(10 * time.Second):
 			}
 			_, _ = w.Write(rest)
 		}},
@@ -648,7 +717,8 @@ func TestVerifyGivesUpConnection(t *testing.T) {
 
 			// The server stops reading partway, so the upload may end in
 			// a write error; it runs beside the response.
-			wrote := make(chan struct{})
+			wrote, responded := make(chan struct{}), make(chan struct{})
+			start := time.Now()
 			go func() {
 				defer close(wrote)
 				cw := httputil.NewChunkedWriter(conn)
@@ -659,7 +729,7 @@ func TestVerifyGivesUpConnection(t *testing.T) {
 				if _, err := cw.Write(raw[:cut]); err != nil {
 					return
 				}
-				tc.upload(cw, raw[cut:])
+				tc.upload(cw, raw[cut:], responded)
 				if cw.Close() == nil {
 					_, _ = io.WriteString(conn, "\r\n")
 				}
@@ -670,6 +740,10 @@ func TestVerifyGivesUpConnection(t *testing.T) {
 				got = append(got, l)
 			}
 			err = <-errc
+			close(responded)
+			if took := time.Since(start); took > 5*time.Second {
+				t.Fatalf("the response took %v, waiting on the upload past its deadline", took)
+			}
 			if len(got) != 2 || !strings.Contains(got[1], `"type":"error"`) || !strings.Contains(got[1], tc.wantErr) {
 				t.Fatalf("lines %q, want the spec line and an error line with %q", got, tc.wantErr)
 			}

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"math"
 	"math/rand"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -83,36 +81,6 @@ func TestDecoderPassesReadErrors(t *testing.T) {
 		want, wantErr := decodeVia(whole, wholeReads, true)
 		if wantErr != "" || !slices.Equal(rec.events, want) {
 			t.Fatalf("cut at %d: %d events, oracle %d over the complete lines (error %q)", k, len(rec.events), len(want), wantErr)
-		}
-	}
-}
-
-// TestParseFloatMatchesStrconv holds parseFloat to the bits and errors
-// strconv.ParseFloat returns, at the edges of its shortcut (15 and 16
-// digits, signs, bare points, leading zeros) and over random decimals of
-// every length.
-func TestParseFloatMatchesStrconv(t *testing.T) {
-	in := []string{"", "-", "+", ".", "-.", "0", "-0", "+0", "5.", ".5", "-.5", "007", "1.2.3", "1e5", "0x1p3",
-		"1_0", "inf", "NaN", "999999999999999", "9999999999999999", "0.000000000000001", "0.0000000000000001",
-		"123456789012345", "1234567890123456", "9007199254740993", "0.1", "0.3", "2.675", "1.005"}
-	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 20000; i++ {
-		digits := strconv.FormatUint(r.Uint64(), 10)[:1+r.Intn(17)]
-		at := r.Intn(len(digits) + 1)
-		num := digits[:at] + "." + digits[at:]
-		if r.Intn(4) == 0 {
-			num = digits
-		}
-		if r.Intn(3) == 0 {
-			num = "-" + num
-		}
-		in = append(in, num)
-	}
-	for _, s := range in {
-		got, gotErr := parseFloat([]byte(s))
-		want, wantErr := strconv.ParseFloat(s, 64)
-		if (gotErr == nil) != (wantErr == nil) || math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("parseFloat(%q) = %v, %v; strconv.ParseFloat %v, %v", s, got, gotErr, want, wantErr)
 		}
 	}
 }

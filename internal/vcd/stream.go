@@ -159,7 +159,7 @@ func (d *Decoder) Run() error {
 		case f0[0] == '$':
 			// $comment/$date/$version/$dumpvars/$dumpall/$end...: skip.
 		case f0[0] == '#':
-			t, err := parseFloat(f0[1:])
+			t, err := strconv.ParseFloat(string(f0[1:]), 64)
 			// ParseFloat accepts "NaN"/"Inf"; a non-finite or negative
 			// timestamp would poison the trace's monotonicity check
 			// (NaN compares false against everything), so reject here.
@@ -202,18 +202,6 @@ func (d *Decoder) line() ([]byte, error) {
 	return nil, err
 }
 
-// byteClass sorts bytes for split: 0 is part of a field, 1 is an ASCII
-// space, and 2 starts a multi-byte rune, which may be a space too.
-var byteClass = func() (c [256]uint8) {
-	for _, b := range "\t\n\v\f\r " {
-		c[b] = 1
-	}
-	for b := utf8.RuneSelf; b < len(c); b++ {
-		c[b] = 2
-	}
-	return c
-}()
-
 // split cuts line into fields as strings.Fields does, at runs of
 // unicode.IsSpace (U+0085 and U+00A0 included). The fields are slices of
 // line, held in d.fields until the next call.
@@ -221,15 +209,11 @@ func (d *Decoder) split(line []byte) [][]byte {
 	f := d.fields[:0]
 	start := -1
 	for i := 0; i < len(line); {
-		size, space := 1, false
-		switch byteClass[line[i]] {
-		case 1:
-			space = true
-		case 2:
-			var r rune
+		r, size := rune(line[i]), 1
+		if r >= utf8.RuneSelf {
 			r, size = utf8.DecodeRune(line[i:])
-			space = unicode.IsSpace(r)
 		}
+		space := unicode.IsSpace(r)
 		switch {
 		case space && start >= 0:
 			f = append(f, line[start:i])
@@ -245,34 +229,6 @@ func (d *Decoder) split(line []byte) [][]byte {
 	d.fields = f
 	return f
 }
-
-// parseFloat is strconv.ParseFloat(string(b), 64), with a shortcut for
-// the unsigned decimals of a dump: at most 15 digits make an exact
-// float64, and one division by an exact power of ten rounds it correctly,
-// to the value ParseFloat returns.
-func parseFloat(b []byte) (float64, error) {
-	n, digits, frac := uint64(0), 0, -1 // frac counts digits after a point
-	for _, c := range b {
-		switch {
-		case '0' <= c && c <= '9' && digits < 15:
-			n = n*10 + uint64(c-'0')
-			digits++
-			if frac >= 0 {
-				frac++
-			}
-		case c == '.' && frac < 0:
-			frac = 0
-		default:
-			return strconv.ParseFloat(string(b), 64)
-		}
-	}
-	if digits == 0 {
-		return strconv.ParseFloat(string(b), 64)
-	}
-	return float64(n) / pow10[max(frac, 0)], nil
-}
-
-var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
 
 // valueChange applies one value-change line. Digital changes (scalar and
 // vector) follow VCD's hold semantics: the old value persists until the
@@ -322,7 +278,7 @@ func (d *Decoder) valueChange(now float64, fields [][]byte) error {
 		if !ok {
 			return fmt.Errorf("unknown id %q", fields[1])
 		}
-		v, err := parseFloat(tok[1:])
+		v, err := strconv.ParseFloat(string(tok[1:]), 64)
 		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("bad real value %q", tok)
 		}
