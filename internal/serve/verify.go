@@ -90,9 +90,10 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.VerifyTimeout)
 	defer cancel()
 	// Every body read ends at the request's deadline, so a stalled upload
-	// cannot hold a worker slot past it. Set before the body is first
-	// read: net/http clears it when the body ends and its background read
-	// starts, so the deadline never lands on that read.
+	// cannot hold a worker slot past it. It is set before the body is
+	// first read: net/http clears it when the body ends and starts its
+	// background read, so the deadline never lands on that read (which a
+	// request without a body has running already).
 	if r.Body != http.NoBody {
 		d, _ := ctx.Deadline()
 		_ = http.NewResponseController(w).SetReadDeadline(d)

@@ -13,8 +13,9 @@ import (
 
 // TestDecoderMatchesOracle pins the byte decoder to the oracle where a
 // decoder on bytes and one on strings could part: line ends, white space
-// strings.Fields splits on, lines longer than the first read buffer, and
-// the golden dumps.
+// strings.Fields splits on, lines longer than the first read buffer,
+// timestamps on either side of parseTime's shortcut, and the golden
+// dumps.
 func TestDecoderMatchesOracle(t *testing.T) {
 	var golden bytes.Buffer
 	if err := Write(&golden, goldenTrace(t), "1us"); err != nil {
@@ -38,6 +39,10 @@ func TestDecoderMatchesOracle(t *testing.T) {
 		"lone 0x85 byte":   vars + "r0.5\x85%\n",
 		"invalid bit rune": vars + "b1\u00e90 !\n",
 		"invalid bit byte": vars + "b1\xff0 !\n",
+	}
+	for _, ts := range []string{"", "7", "007", "999999999999999", "1000000000000000", "9007199254740993",
+		"1.5", "-1", "+1", "1e3", "0x10", "1_0", "Inf", "NaN", "\u0663"} {
+		cases["timestamp #"+ts] = vars + "#" + ts + "\n1!\n"
 	}
 	for name, doc := range cases {
 		t.Run(name, func(t *testing.T) { checkAgainstOracle(t, doc) })

@@ -159,7 +159,7 @@ func (d *Decoder) Run() error {
 		case f0[0] == '$':
 			// $comment/$date/$version/$dumpvars/$dumpall/$end...: skip.
 		case f0[0] == '#':
-			t, err := strconv.ParseFloat(string(f0[1:]), 64)
+			t, err := parseTime(f0[1:])
 			// ParseFloat accepts "NaN"/"Inf"; a non-finite or negative
 			// timestamp would poison the trace's monotonicity check
 			// (NaN compares false against everything), so reject here.
@@ -209,11 +209,13 @@ func (d *Decoder) split(line []byte) [][]byte {
 	f := d.fields[:0]
 	start := -1
 	for i := 0; i < len(line); {
-		r, size := rune(line[i]), 1
-		if r >= utf8.RuneSelf {
+		c, size := line[i], 1
+		space := c == ' ' || '\t' <= c && c <= '\r'
+		if c >= utf8.RuneSelf {
+			var r rune
 			r, size = utf8.DecodeRune(line[i:])
+			space = unicode.IsSpace(r)
 		}
-		space := unicode.IsSpace(r)
 		switch {
 		case space && start >= 0:
 			f = append(f, line[start:i])
@@ -228,6 +230,23 @@ func (d *Decoder) split(line []byte) [][]byte {
 	}
 	d.fields = f
 	return f
+}
+
+// parseTime is strconv.ParseFloat(string(b), 64) with a shortcut for an
+// unsigned integer of at most 15 digits, which a float64 holds exactly:
+// IEEE 1364 writes every timestamp so.
+func parseTime(b []byte) (float64, error) {
+	if len(b) == 0 || len(b) > 15 {
+		return strconv.ParseFloat(string(b), 64)
+	}
+	n := uint64(0)
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return strconv.ParseFloat(string(b), 64)
+		}
+		n = n*10 + uint64(c-'0')
+	}
+	return float64(n), nil
 }
 
 // valueChange applies one value-change line. Digital changes (scalar and
