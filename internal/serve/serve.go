@@ -310,9 +310,8 @@ func sanitizeRequestID(id string) string {
 }
 
 // statusWriter records the status code written by a handler for the
-// access log. Unwrap hands http.ResponseController the server's own
-// writer, so handlers behind it can still flush, enable full duplex, set
-// read deadlines and hijack.
+// access log. Unwrap lets http.ResponseController reach the server's own
+// writer, to flush, enable full duplex, set read deadlines and hijack.
 type statusWriter struct {
 	http.ResponseWriter
 	status int

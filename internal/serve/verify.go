@@ -90,10 +90,9 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.VerifyTimeout)
 	defer cancel()
 	// Every body read ends at the request's deadline, so a stalled upload
-	// cannot hold a worker slot past it. It is set before the body is
-	// first read: net/http clears it when the body ends and starts its
-	// background read, so the deadline never lands on that read (which a
-	// request without a body has running already).
+	// frees its worker slot. Set before the first read, it never lands on
+	// net/http's background read: net/http clears it as the body ends and
+	// that read starts (a request without a body has it running already).
 	if r.Body != http.NoBody {
 		d, _ := ctx.Deadline()
 		_ = http.NewResponseController(w).SetReadDeadline(d)
@@ -238,8 +237,7 @@ func (s *Server) runVerify(ctx context.Context, w http.ResponseWriter, r *http.R
 			writeLine(verifyVerdictLine{Type: "verdict", Verdict: v})
 		}, s.verifyMetrics)
 	if err != nil {
-		// A body read the deadline cut reports the deadline, as one met
-		// between decode events does.
+		// A read the deadline cut reports it as a check between events does.
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			err = context.DeadlineExceeded
 		}
@@ -284,12 +282,11 @@ const maxBodyTail = 1 << 20
 // handler returns: net/http would drain it after the handler, starting a
 // background read that the connection's next request collides with
 // ("invalid concurrent Body.Read call"). After the vcd part only the
-// multipart epilogue is left, read under handleVerify's deadline; a body
-// already at its end reads nothing, so a deadline that passed after it
-// ended costs nothing. More than maxBodyTail left ends the connection
-// after the response, as net/http does for any body over a limit; a read
-// that fails, at the deadline or because the client went, has the
-// connection closed under the response.
+// multipart epilogue is left; a body at its end reads nothing, so a
+// deadline that passed after it ended costs nothing. More than
+// maxBodyTail left ends the connection after the response, as net/http
+// does for any body over a limit; a failed read (the deadline passed, or
+// the client went) closes the connection under the response.
 func finishBody(w http.ResponseWriter, body io.ReadCloser) {
 	_, err := io.Copy(io.Discard, http.MaxBytesReader(serverWriter(w), body, maxBodyTail))
 	var tooLong *http.MaxBytesError

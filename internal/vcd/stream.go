@@ -232,19 +232,16 @@ func (d *Decoder) split(line []byte) [][]byte {
 	return f
 }
 
-// parseTime is strconv.ParseFloat(string(b), 64) with a shortcut for an
-// unsigned integer of at most 15 digits, which a float64 holds exactly:
-// IEEE 1364 writes every timestamp so.
+// parseTime is strconv.ParseFloat(string(b), 64), with a shortcut for the
+// unsigned integers IEEE 1364 writes as timestamps: up to 15 digits, which
+// a float64 holds exactly.
 func parseTime(b []byte) (float64, error) {
-	if len(b) == 0 || len(b) > 15 {
-		return strconv.ParseFloat(string(b), 64)
+	n, i := uint64(0), 0
+	for ; i < len(b) && i < 15 && '0' <= b[i] && b[i] <= '9'; i++ {
+		n = n*10 + uint64(b[i]-'0')
 	}
-	n := uint64(0)
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return strconv.ParseFloat(string(b), 64)
-		}
-		n = n*10 + uint64(c-'0')
+	if i == 0 || i < len(b) {
+		return strconv.ParseFloat(string(b), 64)
 	}
 	return float64(n), nil
 }
