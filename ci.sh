@@ -26,16 +26,25 @@
 #                     and the VCD decoder's allocations must not grow with
 #                     the dump (0.5 MB and 2 MB dumps allocate alike); run
 #                     explicitly so a -run filter in step 4 can never
-#                     silently skip the AllocsPerRun pins
+#                     silently skip the AllocsPerRun pins. Garbage pins:
+#                     DecodePNG of a 900x560 8-bit gray PNG allocates
+#                     under 1.5 x W x H bytes (it keeps the decoder's
+#                     pixels), and the Fig. 1 pipeline's -benchmem B/op at
+#                     -cpu 1 stays under BENCH_GUARDS.json's
+#                     fig1_bytes_per_op ceiling (the full-frame scratch
+#                     goes back to imgproc's pool)
 #   6. fuzz smoke:    a few seconds of coverage-guided fuzzing on each
 #                     text parser (VCD, against the line decoder it
 #                     replaced, read whole, a byte at a time and in halved
 #                     reads; TDL; spec text), on tdserve's upload
 #                     reader (against the streaming reference reader), on
-#                     the delays document both verify surfaces read and on
+#                     the delays document both verify surfaces read, on
 #                     the job journal's replay (loadRecord: no panic, no
 #                     record without an ID, stable bytes when written
-#                     back); regressions on previously found inputs fail
+#                     back), on DecodePNG (against FromImage over
+#                     png.Decode) and on the resolver's stored-artifact
+#                     decode (a miss, a counted ErrCorrupt, or the stored
+#                     bytes); regressions on previously found inputs fail
 #                     immediately via the seed corpus
 #   7. benchmark smoke run: one iteration of the Fig. 1 single-image
 #                     pipeline plus the bit-packed kernel micro-benchmarks
@@ -138,12 +147,19 @@ cmp BENCH_03.json "$tmp/sweep.json"
 go test -run 'TestNilTraceZeroAlloc|TestNilRecorderZeroAlloc' -count 1 ./internal/obs
 go test -run 'TestDisabledTracingZeroAllocOnHotPath' -count 1 ./internal/core
 go test -run 'TestDecodeAllocsFlat' -count 1 ./internal/vcd
+go test -run 'TestDecodePNGAllocBytes' -count 1 ./internal/imgproc
+fig1_bytes=$(go test -run '^$' -bench '^BenchmarkFig1PipelineSingleImage$' -benchtime 20x -cpu 1 -benchmem . |
+	awk '$1 ~ /^BenchmarkFig1PipelineSingleImage(-[0-9]+)?$/ { for (i = 3; i <= NF; i++) if ($i == "B/op") print $(i - 1) }')
+fig1_bytes_max=$(python3 -c 'import json; print(json.load(open("BENCH_GUARDS.json"))["guards"]["fig1_bytes_per_op"]["max_bytes_per_op"])')
+test -n "$fig1_bytes" && test "$fig1_bytes" -le "$fig1_bytes_max"
 go test -run '^FuzzParse$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/vcd
 go test -run '^FuzzParse$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/tdl
 go test -run '^FuzzReadPicture$' -fuzz '^FuzzReadPicture$' -fuzztime 5s ./internal/serve
 go test -run '^FuzzLoadRecord$' -fuzz '^FuzzLoadRecord$' -fuzztime 5s ./internal/jobs
 go test -run '^FuzzDelays$' -fuzz '^FuzzDelays$' -fuzztime 5s ./internal/monitor
 go test -run '^FuzzParseSpec$' -fuzz '^FuzzParseSpec$' -fuzztime 5s ./internal/spo
+go test -run '^FuzzDecodePNG$' -fuzz '^FuzzDecodePNG$' -fuzztime 5s ./internal/imgproc
+go test -run '^FuzzLookupArtifact$' -fuzz '^FuzzLookupArtifact$' -fuzztime 5s ./internal/batch
 go test -run '^$' -bench BenchmarkFig1PipelineSingleImage -benchtime 1x .
 go test -run '^$' -bench BenchmarkBinaryOps -benchtime 1x ./internal/imgproc
 go test -run '^$' -bench BenchmarkMorphContours -benchtime 1x ./internal/morph

@@ -73,6 +73,8 @@ func (p *Pipeline) intraWorkers() int {
 // Report exposes every intermediate result of a translation, for
 // evaluation, debugging and rendering.
 type Report struct {
+	// Lines is LAD's result without its binary image: Lines.BW is nil
+	// once a translation returns (the image went back to imgproc's pool).
 	Lines *lad.Result
 	Edges []sed.Detection
 	Texts []ocr.Result
@@ -301,6 +303,9 @@ func (p *Pipeline) Analyze(img *imgproc.Gray) *Report {
 // itself a small double-ramp shape, and only the cross-check against OCR
 // separates the two readings.
 //
+// The packed image is imgproc scratch: it goes back to the pool once the
+// stages that read it have returned, so the report's Lines.BW is nil.
+//
 // Every stage checks ctx cooperatively; the first stage error (only ever
 // a context error) aborts the translation.
 func (p *Pipeline) analyzeStagesCtx(ctx context.Context, img *imgproc.Gray, runSED bool) (*Report, error) {
@@ -313,10 +318,23 @@ func (p *Pipeline) analyzeStagesCtx(ctx context.Context, img *imgproc.Gray, runS
 	bw := imgproc.ThresholdW(img, thr, w)
 	l.Int("threshold", int64(thr))
 	l.End()
+	rep, err := p.perceive(ctx, img, bw, w, runSED)
+	// perceive returns only after every stage reading bw has returned (a
+	// panic skips this and leaves bw to the garbage collector).
+	if rep.Lines != nil {
+		rep.Lines.BW = nil
+	}
+	imgproc.PutBinary(bw)
+	return rep, err
+}
+
+// perceive runs LAD on the binarised picture bw, then SED and OCR
+// concurrently, and returns once none of them is running.
+func (p *Pipeline) perceive(ctx context.Context, img *imgproc.Gray, bw *imgproc.Binary, w int, runSED bool) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return &Report{}, err
 	}
-	l = p.layer(ctx, "lad.detect")
+	l := p.layer(ctx, "lad.detect")
 	ladCfg := p.LADCfg
 	ladCfg.Workers = w
 	lines, err := lad.DetectBinaryCtx(ctx, bw, ladCfg)
@@ -328,7 +346,7 @@ func (p *Pipeline) analyzeStagesCtx(ctx context.Context, img *imgproc.Gray, runS
 	l.Int("v_contours", int64(len(lines.V))).Int("h_contours", int64(len(lines.H)))
 	l.End()
 	rep := &Report{Lines: lines}
-	if frac := float64(lines.BW.Count()) / float64(img.W*img.H); frac > 0.5 {
+	if frac := float64(bw.Count()) / float64(img.W*img.H); frac > 0.5 {
 		rep.Diags = append(rep.Diags, diag.New(diag.StageLAD, diag.Warning,
 			"%.0f%% of the picture binarised to ink: saturated or inverted scan", 100*frac))
 	}
@@ -352,7 +370,7 @@ func (p *Pipeline) analyzeStagesCtx(ctx context.Context, img *imgproc.Gray, runS
 		l := p.layer(ctx, "ocr.read")
 		ocrCfg := p.OCRCfg
 		ocrCfg.Workers = w
-		texts, ocrErr := p.OCR.ReadAllCtx(ctx, lines.BW, lines, ocrCfg)
+		texts, ocrErr := p.OCR.ReadAllCtx(ctx, bw, lines, ocrCfg)
 		l.Int("text_boxes", int64(len(texts))).Bool("error", ocrErr != nil)
 		l.End()
 		if ocrErr != nil {

@@ -3,6 +3,7 @@ package imgproc
 import (
 	"math/bits"
 	"sort"
+	"sync"
 
 	"tdmagic/internal/geom"
 	"tdmagic/internal/parallel"
@@ -49,11 +50,13 @@ func Regions(b *Binary, minArea int) []Region {
 // the fast path for callers that never look at individual member pixels.
 // Ordering and filtering are identical to ComponentsW.
 func RegionsW(b *Binary, minArea, workers int) []Region {
-	runs, _, parent := labelRuns(b, workers)
+	ls := labelPool.Get().(*labelScratch)
+	defer labelPool.Put(ls)
+	runs, parent := ls.label(b, workers)
 	if runs == nil {
 		return nil
 	}
-	accs, _ := accumulate(runs, parent)
+	accs := ls.accumulate(runs, parent)
 	regs := make([]Region, 0, len(accs))
 	for _, a := range accs {
 		if int(a.area) >= minArea {
@@ -78,11 +81,14 @@ func RegionsW(b *Binary, minArea, workers int) []Region {
 // discovery order — and therefore the sorted output — is bit-identical for
 // any worker count, and identical to the historical per-pixel flood fill.
 func ComponentsW(b *Binary, minArea, workers int) []Component {
-	runs, _, parent := labelRuns(b, workers)
+	ls := labelPool.Get().(*labelScratch)
+	defer labelPool.Put(ls)
+	runs, parent := ls.label(b, workers)
 	if runs == nil {
 		return nil
 	}
-	accs, compOf := accumulate(runs, parent)
+	accs := ls.accumulate(runs, parent)
+	compOf := parent // relabelled by accumulate
 
 	// Materialise the kept components, Points in row-major order.
 	kept := make([]int32, len(accs))
@@ -121,12 +127,35 @@ func ComponentsW(b *Binary, minArea, workers int) []Component {
 	return comps
 }
 
-// labelRuns extracts the maximal horizontal runs of b in row-major order and
+// labelScratch is the working memory of one labelling pass: the per-band
+// run lists, row offsets, run and parent arrays and per-component
+// aggregates. labelPool recycles it, so labelling a picture of a size the
+// pool has seen allocates only the Regions or Components returned.
+type labelScratch struct {
+	bands  [][]hrun
+	rowOff []int32
+	runs   []hrun
+	parent []int32
+	accs   []compAcc
+}
+
+var labelPool = sync.Pool{New: func() any { return new(labelScratch) }}
+
+// resize returns s with length n, reusing its array when it is large
+// enough; the content is undefined.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// label extracts the maximal horizontal runs of b in row-major order and
 // unions 8-connected runs, banded over workers goroutines. It returns nil
-// runs when the image is blank or degenerate.
-func labelRuns(b *Binary, workers int) (runs []hrun, rowOff []int32, parent []int32) {
+// runs when the image is blank or degenerate. Both slices live in ls.
+func (ls *labelScratch) label(b *Binary, workers int) (runs []hrun, parent []int32) {
 	if b.W <= 0 || b.H <= 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
 	workers = parallel.Resolve(workers)
 
@@ -143,11 +172,16 @@ func labelRuns(b *Binary, workers int) (runs []hrun, rowOff []int32, parent []in
 
 	// Pass 1: per-band run extraction, plus per-row run counts so the bands
 	// can be concatenated into one row-major slice with O(1) row lookup.
-	bandRuns := make([][]hrun, nb)
-	rowOff = make([]int32, b.H+1)
+	bands := resize(ls.bands, nb)
+	rowOff := resize(ls.rowOff, b.H+1)
+	ls.bands, ls.rowOff = bands, rowOff
+	rowOff[0] = 0
 	parallel.For(workers, nb, func(bi int) {
 		y0, y1 := bandStart(bi), bandStart(bi+1)
-		rs := make([]hrun, 0, 4*(y1-y0))
+		rs := bands[bi][:0]
+		if cap(rs) < 4*(y1-y0) {
+			rs = make([]hrun, 0, 4*(y1-y0))
+		}
 		for y := y0; y < y1; y++ {
 			row := b.Row(y)
 			n := int32(0)
@@ -160,24 +194,34 @@ func labelRuns(b *Binary, workers int) (runs []hrun, rowOff []int32, parent []in
 			}
 			rowOff[y+1] = n // per-row count; prefix-summed below
 		}
-		bandRuns[bi] = rs
+		bands[bi] = rs
 	})
 	for y := 0; y < b.H; y++ {
 		rowOff[y+1] += rowOff[y]
 	}
 	nRuns := int(rowOff[b.H])
 	if nRuns == 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
-	runs = make([]hrun, nRuns)
-	parent = make([]int32, nRuns)
-	parallel.For(workers, nb, func(bi int) {
-		off := rowOff[bandStart(bi)]
-		copy(runs[off:], bandRuns[bi])
-		for i := range bandRuns[bi] {
-			parent[int(off)+i] = off + int32(i)
+	parent = resize(ls.parent, nRuns)
+	ls.parent = parent
+	if nb == 1 {
+		// The one band already holds every run in row-major order.
+		runs = bands[0]
+		for i := range parent {
+			parent[i] = int32(i)
 		}
-	})
+	} else {
+		runs = resize(ls.runs, nRuns)
+		ls.runs = runs
+		parallel.For(workers, nb, func(bi int) {
+			off := rowOff[bandStart(bi)]
+			copy(runs[off:], bands[bi])
+			for i := range bands[bi] {
+				parent[int(off)+i] = off + int32(i)
+			}
+		})
+	}
 
 	// Pass 2: union vertically adjacent runs. Each band unions the row pairs
 	// strictly inside it — those touch only run indices in the band's range,
@@ -191,7 +235,7 @@ func labelRuns(b *Binary, workers int) (runs []hrun, rowOff []int32, parent []in
 	for bi := 1; bi < nb; bi++ {
 		unionRows(runs, parent, rowOff, bandStart(bi))
 	}
-	return runs, rowOff, parent
+	return runs, parent
 }
 
 // compAcc is the per-component aggregate built by accumulate.
@@ -200,37 +244,39 @@ type compAcc struct {
 	area int32
 }
 
-// accumulate resolves every run's root and folds area and bounding box per
-// component. Union-by-min guarantees root(i) <= i, so one ascending sweep
-// sees every root before its members; components come out in discovery
-// order (row-major order of each component's first run).
-func accumulate(runs []hrun, parent []int32) ([]compAcc, []int32) {
-	compOf := make([]int32, len(runs))
-	var accs []compAcc
-	for i := range runs {
-		r := findRoot(parent, int32(i))
-		var ci int32
-		if int(r) == i {
+// accumulate folds area and bounding box per component, in discovery order
+// (row-major order of each component's first run), and relabels parent in
+// place: afterwards parent[i] is the index of run i's component in the
+// returned aggregates. Union-by-min keeps parent[i] <= i, with equality
+// exactly at roots, so one ascending sweep meets every root before its
+// members, and a member's parent entry already holds its component's index
+// by the time the member is reached.
+func (ls *labelScratch) accumulate(runs []hrun, parent []int32) []compAcc {
+	accs := ls.accs[:0]
+	for i, r := range runs {
+		ci := parent[i]
+		if int(ci) == i {
 			ci = int32(len(accs))
 			accs = append(accs, compAcc{box: geom.Rect{
-				X0: int(runs[i].x0), Y0: int(runs[i].y),
-				X1: int(runs[i].x1), Y1: int(runs[i].y),
+				X0: int(r.x0), Y0: int(r.y),
+				X1: int(r.x1), Y1: int(r.y),
 			}})
 		} else {
-			ci = compOf[r]
+			ci = parent[ci]
 			a := &accs[ci]
-			if int(runs[i].x0) < a.box.X0 {
-				a.box.X0 = int(runs[i].x0)
+			if int(r.x0) < a.box.X0 {
+				a.box.X0 = int(r.x0)
 			}
-			if int(runs[i].x1) > a.box.X1 {
-				a.box.X1 = int(runs[i].x1)
+			if int(r.x1) > a.box.X1 {
+				a.box.X1 = int(r.x1)
 			}
-			a.box.Y1 = int(runs[i].y) // runs arrive in ascending y
+			a.box.Y1 = int(r.y) // runs arrive in ascending y
 		}
-		compOf[i] = ci
-		accs[ci].area += runs[i].x1 - runs[i].x0 + 1
+		parent[i] = ci
+		accs[ci].area += r.x1 - r.x0 + 1
 	}
-	return accs, compOf
+	ls.accs = accs
+	return accs
 }
 
 // unionRows unions every 8-connected run pair between row y-1 and row y with

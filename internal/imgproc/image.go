@@ -15,6 +15,7 @@ import (
 	"image/png"
 	"io"
 	"math/bits"
+	"sync"
 
 	"tdmagic/internal/geom"
 	"tdmagic/internal/parallel"
@@ -148,11 +149,19 @@ func FromImage(img image.Image) *Gray {
 // EncodePNG writes g as a PNG to w.
 func (g *Gray) EncodePNG(w io.Writer) error { return png.Encode(w, g.ToImage()) }
 
-// DecodePNG reads a PNG from r and converts it to a Gray.
+// DecodePNG reads a PNG from r and converts it to a Gray. A gray PNG of 8
+// bits or fewer decodes to an *image.Gray with zero origin and Stride == W,
+// whose pixels are already a Gray's: DecodePNG keeps that buffer as the
+// picture instead of copying it, and converts every other image through
+// FromImage.
 func DecodePNG(r io.Reader) (*Gray, error) {
 	img, err := png.Decode(r)
 	if err != nil {
 		return nil, fmt.Errorf("imgproc: decode png: %w", err)
+	}
+	if g, ok := img.(*image.Gray); ok && g.Rect.Min == (image.Point{}) && g.Stride == g.Rect.Dx() {
+		w, h := g.Rect.Dx(), g.Rect.Dy()
+		return &Gray{W: w, H: h, Pix: g.Pix[:w*h]}, nil
 	}
 	return FromImage(img), nil
 }
@@ -175,6 +184,48 @@ type Binary struct {
 func NewBinary(w, h int) *Binary {
 	stride := (w + 63) / 64
 	return &Binary{W: w, H: h, Stride: stride, Words: make([]uint64, h*stride)}
+}
+
+// binPools recycles full-frame scratch images: pool c holds Binaries whose
+// Words capacity is at least 1<<c, so pictures of any size share the pools
+// without a large request ever receiving a short buffer.
+var binPools [bits.UintSize]sync.Pool
+
+// GetBinary returns a w×h Binary from the scratch pool with undefined
+// content: the caller must write every word, padding bits zero, before
+// reading any. It is the one source of the pipeline's transient full-frame
+// images (the binarised picture, the morphology smears, the working copies
+// SED and OCR erase into). Whoever takes one gives it back with PutBinary
+// once nothing references it; one never given back is ordinary garbage.
+func GetBinary(w, h int) *Binary {
+	stride := (w + 63) / 64
+	n := h * stride
+	if n <= 0 {
+		return &Binary{W: w, H: h, Stride: stride}
+	}
+	c := bits.Len(uint(n - 1)) // the smallest c with 1<<c >= n
+	if v := binPools[c].Get(); v != nil {
+		b := v.(*Binary)
+		b.W, b.H, b.Stride, b.Words = w, h, stride, b.Words[:n]
+		return b
+	}
+	return &Binary{W: w, H: h, Stride: stride, Words: make([]uint64, n, 1<<c)}
+}
+
+// GetCopy returns a copy of b taken from the scratch pool.
+func GetCopy(b *Binary) *Binary {
+	c := GetBinary(b.W, b.H)
+	copy(c.Words, b.Words)
+	return c
+}
+
+// PutBinary gives b back to the scratch pool; nil is ignored. The caller
+// must not touch b, or anything sharing its Words, afterwards.
+func PutBinary(b *Binary) {
+	if b == nil || cap(b.Words) == 0 {
+		return
+	}
+	binPools[bits.Len(uint(cap(b.Words)))-1].Put(b)
 }
 
 // At returns the pixel at (x, y); out-of-bounds reads return false.
@@ -355,8 +406,11 @@ func Threshold(g *Gray, thr uint8) *Binary {
 
 // ThresholdW is Threshold with the rows fanned out over workers. The rows
 // are independent, so the result is identical for any worker count.
+//
+// The result comes from the scratch pool (GetBinary), every word written; a
+// caller done with it may give it back with PutBinary.
 func ThresholdW(g *Gray, thr uint8, workers int) *Binary {
-	b := NewBinary(g.W, g.H)
+	b := GetBinary(g.W, g.H)
 	workers = parallel.Resolve(workers)
 	if workers <= 1 || g.H < 64 {
 		thresholdRows(g, b, thr, 0, g.H)

@@ -17,51 +17,10 @@
 package morph
 
 import (
-	"sync"
-
 	"tdmagic/internal/geom"
 	"tdmagic/internal/imgproc"
 	"tdmagic/internal/parallel"
 )
-
-// imgPool recycles the smear scratch images. Every word of a pooled image is
-// overwritten before it is read (the shift kernels write their full
-// destination), so stale content — including dirty padding bits — never
-// leaks. The pool is what keeps a full contour extraction at zero
-// steady-state heap growth; it is shared by all goroutines translating
-// through one process, matching the pipeline's concurrent-use contract.
-var imgPool sync.Pool
-
-// getImage returns an owned, possibly-recycled image of the given geometry
-// with undefined content. Callers must fully overwrite it.
-func getImage(w, h int) *imgproc.Binary {
-	stride := (w + 63) / 64
-	need := h * stride
-	if v := imgPool.Get(); v != nil {
-		b := v.(*imgproc.Binary)
-		if cap(b.Words) >= need {
-			b.W, b.H, b.Stride = w, h, stride
-			b.Words = b.Words[:need]
-			return b
-		}
-	}
-	return &imgproc.Binary{W: w, H: h, Stride: stride, Words: make([]uint64, need)}
-}
-
-// putImage returns an image to the scratch pool. The caller must not touch
-// it afterwards.
-func putImage(b *imgproc.Binary) {
-	if b != nil {
-		imgPool.Put(b)
-	}
-}
-
-// copyImage returns an owned copy of b from the pool.
-func copyImage(b *imgproc.Binary) *imgproc.Binary {
-	c := getImage(b.W, b.H)
-	copy(c.Words, b.Words)
-	return c
-}
 
 // forWords fans fn out over contiguous word ranges of an n-word image.
 // Chunks are fixed by the worker count and every index is written by exactly
@@ -122,7 +81,7 @@ func dilateW(b *imgproc.Binary, se SE, workers int) *imgproc.Binary {
 	}
 	tmp := dilateH(b, se.W, workers)
 	res := dilateV(tmp, se.H, workers)
-	putImage(tmp)
+	imgproc.PutBinary(tmp)
 	return res
 }
 
@@ -143,7 +102,7 @@ func erodeW(b *imgproc.Binary, se SE, workers int) *imgproc.Binary {
 	}
 	tmp := erodeH(b, se.W, workers)
 	res := erodeV(tmp, se.H, workers)
-	putImage(tmp)
+	imgproc.PutBinary(tmp)
 	return res
 }
 
@@ -157,7 +116,7 @@ func Open(b *imgproc.Binary, se SE) *imgproc.Binary {
 func openW(b *imgproc.Binary, se SE, workers int) *imgproc.Binary {
 	tmp := erodeW(b, se, workers)
 	res := dilateW(tmp, se, workers)
-	putImage(tmp)
+	imgproc.PutBinary(tmp)
 	return res
 }
 
@@ -171,7 +130,7 @@ func Close(b *imgproc.Binary, se SE) *imgproc.Binary {
 func closeW(b *imgproc.Binary, se SE, workers int) *imgproc.Binary {
 	tmp := dilateW(b, se, workers)
 	res := erodeW(tmp, se, workers)
-	putImage(tmp)
+	imgproc.PutBinary(tmp)
 	return res
 }
 
@@ -189,10 +148,10 @@ func closeW(b *imgproc.Binary, se SE, workers int) *imgproc.Binary {
 // them as misses).
 func hLineOp(b *imgproc.Binary, n int, and bool, workers int) *imgproc.Binary {
 	if n <= 1 {
-		return copyImage(b)
+		return imgproc.GetCopy(b)
 	}
 	left := (n - 1) / 2
-	res := getImage(b.W, b.H)
+	res := imgproc.GetBinary(b.W, b.H)
 	stride := b.Stride
 	tail := uint(b.W) & 63
 	tailMask := ^uint64(0)
@@ -292,9 +251,9 @@ func rowShiftDownCombine(row []uint64, k int, and bool) {
 // the same border semantics as the horizontal kernels.
 func vLineOp(b *imgproc.Binary, n int, and bool, workers int) *imgproc.Binary {
 	if n <= 1 {
-		return copyImage(b)
+		return imgproc.GetCopy(b)
 	}
-	res := getImage(b.W, b.H)
+	res := imgproc.GetBinary(b.W, b.H)
 	h, stride := b.H, b.Stride
 	up := (n - 1) / 2 // window [y-up, y+down]
 	pn := h + n - 1   // padded column: index p = y+up, y in [-up, h-1+(n-1-up)]
@@ -304,13 +263,16 @@ func vLineOp(b *imgproc.Binary, n int, and bool, workers int) *imgproc.Binary {
 	if workers > 1 && h*stride < 1<<14 {
 		workers = 1
 	}
-	scratch := make([][]uint64, workers)
+	if workers > stride {
+		workers = stride
+	}
+	// Each worker's padded column and its suffix and prefix reductions,
+	// taken as one scratch image a word wide so they recycle with the
+	// full-frame images.
+	scratch := imgproc.GetBinary(64, workers*3*plen)
+	defer imgproc.PutBinary(scratch)
 	parallel.ForWorker(workers, stride, func(worker, j int) {
-		buf := scratch[worker]
-		if buf == nil {
-			buf = make([]uint64, 3*plen)
-			scratch[worker] = buf
-		}
+		buf := scratch.Words[worker*3*plen : (worker+1)*3*plen]
 		col, suf, pre := buf[:plen], buf[plen:2*plen], buf[2*plen:]
 		for i := 0; i < up; i++ {
 			col[i] = 0
@@ -402,10 +364,10 @@ func VerticalContoursW(b *imgproc.Binary, bridge, minLen, maxThick, workers int)
 	}
 	opened := openW(work, VLine(minLen), workers)
 	if work != b {
-		putImage(work)
+		imgproc.PutBinary(work)
 	}
 	regs := imgproc.RegionsW(opened, minLen, workers)
-	putImage(opened)
+	imgproc.PutBinary(opened)
 	segs := make([]geom.VSeg, 0, len(regs))
 	for _, c := range regs {
 		if maxThick > 0 && c.Box.W() > maxThick {
@@ -434,10 +396,10 @@ func HorizontalContoursW(b *imgproc.Binary, bridge, minLen, maxThick, workers in
 	}
 	opened := openW(work, HLine(minLen), workers)
 	if work != b {
-		putImage(work)
+		imgproc.PutBinary(work)
 	}
 	regs := imgproc.RegionsW(opened, minLen, workers)
-	putImage(opened)
+	imgproc.PutBinary(opened)
 	segs := make([]geom.HSeg, 0, len(regs))
 	for _, c := range regs {
 		if maxThick > 0 && c.Box.H() > maxThick {

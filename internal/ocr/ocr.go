@@ -417,7 +417,7 @@ func DefaultDetectConfig() DetectConfig {
 // erased only where its neighbourhood above and below is empty — true for
 // line stretches, false inside a text block.
 func DetectRegions(bw *imgproc.Binary, lines *lad.Result, cfg DetectConfig) []geom.Rect {
-	work := bw.Clone()
+	work := imgproc.GetCopy(bw)
 	for _, v := range lines.V {
 		work.ClearRect(geom.Rect{X0: v.Seg.X - 2, Y0: v.Seg.Y0, X1: v.Seg.X + 2, Y1: v.Seg.Y1})
 	}
@@ -441,6 +441,7 @@ func DetectRegions(bw *imgproc.Binary, lines *lad.Result, cfg DetectConfig) []ge
 		w = 1
 	}
 	comps := imgproc.RegionsW(work, 2, w)
+	imgproc.PutBinary(work)
 	var boxes []geom.Rect
 	for _, c := range comps {
 		if c.Box.H() < cfg.MinGlyphH || c.Box.H() > cfg.MaxGlyphH || c.Box.W() > 3*cfg.MaxGlyphH {

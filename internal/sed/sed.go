@@ -109,7 +109,8 @@ func (m *Model) getScratch() *detectScratch {
 }
 
 // cleanup returns the proposal working image: bw minus dashed annotation
-// structure and long horizontal runs.
+// structure and long horizontal runs. The image comes from imgproc's
+// scratch pool; the caller gives it back.
 //
 // Annotation lines are erased only where they are *locally* dashed: a solid
 // step edge that shares its column with the dashed event line below it (the
@@ -118,7 +119,7 @@ func (m *Model) getScratch() *detectScratch {
 // genuinely confuse the detector, exactly the failure mode the paper
 // reports.
 func cleanup(bw *imgproc.Binary, lines *lad.Result, cfg Config) *imgproc.Binary {
-	work := bw.Clone()
+	work := imgproc.GetCopy(bw)
 	const win, localSolid = 5, 0.9
 	// Long solid vertical contours are annotation lines drawn solid (an
 	// industrial style): erase the stretches where the line runs alone,
@@ -243,6 +244,7 @@ func Propose(bw *imgproc.Binary, lines *lad.Result, cfg Config) []geom.Rect {
 		}
 		out = append(out, tightBox(work, b).Expand(1, 1).Clip(work.Bounds()))
 	}
+	imgproc.PutBinary(work)
 	return out
 }
 
