@@ -29,7 +29,9 @@
 #                     silently skip the AllocsPerRun pins. Garbage pins:
 #                     DecodePNG of a 900x560 8-bit gray PNG allocates
 #                     under 1.5 x W x H bytes (it keeps the decoder's
-#                     pixels), and the Fig. 1 pipeline's -benchmem B/op at
+#                     pixels), OtsuThreshold on a 900x560 picture
+#                     allocates nothing (its histogram banks stay on the
+#                     stack), and the Fig. 1 pipeline's -benchmem B/op at
 #                     -cpu 1 stays under BENCH_GUARDS.json's
 #                     fig1_bytes_per_op ceiling (the full-frame scratch
 #                     goes back to imgproc's pool)
@@ -147,7 +149,7 @@ cmp BENCH_03.json "$tmp/sweep.json"
 go test -run 'TestNilTraceZeroAlloc|TestNilRecorderZeroAlloc' -count 1 ./internal/obs
 go test -run 'TestDisabledTracingZeroAllocOnHotPath' -count 1 ./internal/core
 go test -run 'TestDecodeAllocsFlat' -count 1 ./internal/vcd
-go test -run 'TestDecodePNGAllocBytes' -count 1 ./internal/imgproc
+go test -run 'TestDecodePNGAllocBytes|TestOtsuThresholdZeroAlloc' -count 1 ./internal/imgproc
 fig1_bytes=$(go test -run '^$' -bench '^BenchmarkFig1PipelineSingleImage$' -benchtime 20x -cpu 1 -benchmem . |
 	awk '$1 ~ /^BenchmarkFig1PipelineSingleImage(-[0-9]+)?$/ { for (i = 3; i <= NF; i++) if ($i == "B/op") print $(i - 1) }')
 fig1_bytes_max=$(python3 -c 'import json; print(json.load(open("BENCH_GUARDS.json"))["guards"]["fig1_bytes_per_op"]["max_bytes_per_op"])')

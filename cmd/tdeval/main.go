@@ -44,7 +44,6 @@ func main() {
 		g3         = flag.Int("g3", 24, "G3 training pictures")
 		valN       = flag.Int("val", 40, "synthetic validation pictures")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel workers for generation and training (results are worker-count invariant)")
-		intraW     = flag.Int("intra-workers", 1, "goroutines tiling the perception kernels within each picture (default 1: the batch path already runs one picture per worker; results are identical for any value)")
 		corpusDir  = flag.String("corpus", "", "evaluate tables 2, 3 and overall on this sample directory, streaming pictures through the batch executor instead of materialising the corpus up front")
 		cacheDir   = flag.String("cache", "", "persistent content-addressed result store; re-evaluations answer unchanged pictures from disk")
 		cpuProf    = flag.String("cpuprofile", "", "write CPU profile to file")
@@ -99,7 +98,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "trained pipeline in %v\n", time.Since(t0))
 		pipe = p
-		pipe.IntraWorkers = *intraW
 		if *showMetric {
 			// The exact counter bundle tdserve exports on /metrics, so an
 			// offline evaluation and a serving deployment are comparable

@@ -70,7 +70,6 @@ func main() {
 		strict      = flag.Bool("strict", false, "fail (exit 1) on degraded inputs instead of emitting a best-effort partial specification")
 		traceOut    = flag.String("trace", "", "write the translation's span trace (per-stage timings and detector counts) to this JSON file")
 		chromeOut   = flag.String("chrome-trace", "", "write the span trace in Chrome trace_event format (open in chrome://tracing) to this JSON file")
-		intraW      = flag.Int("intra-workers", 0, "goroutines tiling the perception kernels within the picture (0 = every core: the CLI translates one picture, so it saturates the machine; output is identical for any value)")
 		batchDir    = flag.String("batch", "", "translate every *.png under this directory instead of a single picture")
 		outDir      = flag.String("out", "", "with -batch: write one <name>.spec per picture into this directory (default: print to stdout)")
 		cacheDir    = flag.String("cache", "", "with -batch: persistent content-addressed result store; re-runs translate only what is missing")
@@ -103,11 +102,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	pipe.Strict = *strict
 	if *batchDir != "" {
-		pipe.Strict = *strict
-		// Batch mode parallelises across pictures; intra-picture tiling
-		// stays off unless explicitly requested.
-		pipe.IntraWorkers = *intraW
 		runBatch(pipe, *batchDir, *outDir, *cacheDir, *batchW)
 		return
 	}
@@ -119,14 +115,6 @@ func main() {
 	f.Close()
 	if err != nil {
 		log.Fatal(err)
-	}
-	pipe.Strict = *strict
-	// The CLI translates exactly one picture, so by default the kernels
-	// tile across every core rather than competing with nothing.
-	if *intraW == 0 {
-		pipe.IntraWorkers = -1
-	} else {
-		pipe.IntraWorkers = *intraW
 	}
 	ctx := context.Background()
 	var tr *obs.Trace

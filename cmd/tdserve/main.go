@@ -94,7 +94,6 @@ func main() {
 		maxJobBody  = flag.Int64("max-job-body", 256<<20, "largest accepted /v1/jobs multipart upload in bytes (the server's per-request memory exposure)")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
 		quiet       = flag.Bool("quiet", false, "disable the per-request access log")
-		intraW      = flag.Int("intra-workers", 1, "goroutines tiling the perception kernels within each picture (default 1: the worker pool already runs one picture per core; raise only on big machines serving single hot requests)")
 		flightN     = flag.Int("flight", 256, "flight-recorder ring capacity in traces/events behind GET /debug/flight (0 disables)")
 		flightSlow  = flag.Duration("flight-slow", time.Second, "root-span duration that pins a trace past flight-ring eviction")
 		flightBytes = flag.Int("flight-bytes", 1<<20, "flight-recorder ring budget in estimated bytes")
@@ -113,7 +112,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pipe.IntraWorkers = *intraW
 
 	cfg := serve.Config{
 		Workers:         *workers,

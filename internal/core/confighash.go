@@ -24,10 +24,8 @@ const configHashVersion = "tdmagic-config-v1"
 // content-addressed result store (internal/store, key = config hash ×
 // input hash) answer for a translation without running it.
 //
-// Deliberately excluded: Metrics (observability only) and IntraWorkers
-// (translation output is bit-identical for any worker count — pinned by
-// TestIntraWorkersInvariance — so keying on it would only split the
-// cache).
+// Deliberately excluded: Metrics (observability only) and the deprecated
+// LADCfg.Workers and OCRCfg.Workers fields, which nothing reads.
 func (p *Pipeline) ConfigHash() store.Hash {
 	h := sha256.New()
 	w := &digestWriter{h: h}

@@ -120,30 +120,33 @@ func TestConfigHashKnobSensitivity(t *testing.T) {
 	}
 }
 
+// TestConfigHashGolden pins the digest of hashPipe's configuration. A
+// change to the hashed fields or their encoding re-keys every stored
+// artifact, so it must be deliberate: bump configHashVersion and this value
+// together.
+func TestConfigHashGolden(t *testing.T) {
+	const want = "d00cc266d6215dde4b237d0470104f7742b2db104f43d3412ef201ffb41a6345"
+	if got := hashPipe().ConfigHash().Hex(); got != want {
+		t.Errorf("ConfigHash = %s, want %s", got, want)
+	}
+}
+
 // TestConfigHashIgnoresNonSemanticFields pins the exclusions: observability
-// and parallelism settings never change what a translation produces, so
-// they must not split the cache.
+// settings and the deprecated stage Workers fields never change what a
+// translation produces, so they must not split the cache.
 func TestConfigHashIgnoresNonSemanticFields(t *testing.T) {
 	base := hashPipe().ConfigHash()
 
 	p := hashPipe()
-	p.IntraWorkers = 7
-	if p.ConfigHash() != base {
-		t.Error("IntraWorkers changed the config hash")
-	}
-
-	p = hashPipe()
 	p.Metrics = NewPipelineMetrics(metrics.NewRegistry())
 	if p.ConfigHash() != base {
 		t.Error("Metrics changed the config hash")
 	}
 
-	// Worker knobs inside stage configs are parallelism-only too.
 	p = hashPipe()
 	p.LADCfg.Workers = 9
-	p.SED.Cfg.Workers = 9
 	p.OCRCfg.Workers = 9
 	if p.ConfigHash() != base {
-		t.Error("stage Workers knobs changed the config hash")
+		t.Error("stage Workers fields changed the config hash")
 	}
 }

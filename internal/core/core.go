@@ -31,8 +31,8 @@ import (
 // goroutine (sync.Pool), so one shared instance serves any
 // number of concurrent callers. This is the contract the tdserve worker
 // pool and the batch path rely on; TestConcurrentTranslateShared pins it
-// under the race detector. The mutable knobs (Strict, Metrics,
-// IntraWorkers) must be set before the pipeline is shared.
+// under the race detector. The mutable knobs (Strict, Metrics) must be
+// set before the pipeline is shared.
 type Pipeline struct {
 	SED    *sed.Model
 	OCR    *ocr.Model
@@ -50,24 +50,6 @@ type Pipeline struct {
 	// the pipeline is shared between goroutines; recording itself is
 	// atomic and concurrency-safe.
 	Metrics *PipelineMetrics
-	// IntraWorkers tiles the perception kernels (binarisation, morphology
-	// smears, component labelling) across goroutines *within* one picture:
-	// 0 or 1 translates sequentially, < 0 uses every core, > 1 uses that
-	// many goroutines. Output is bit-identical for any value. Interactive
-	// single-image callers should set it negative to saturate the machine;
-	// batch surfaces that already run one picture per worker (tdserve,
-	// tdeval, TranslateAllCtx) should leave it at 0 — inner and outer
-	// parallelism multiply. Like the other knobs it must be set before the
-	// pipeline is shared.
-	IntraWorkers int
-}
-
-// intraWorkers resolves the IntraWorkers knob to a concrete worker count.
-func (p *Pipeline) intraWorkers() int {
-	if p.IntraWorkers == 0 {
-		return 1
-	}
-	return parallel.Resolve(p.IntraWorkers)
 }
 
 // Report exposes every intermediate result of a translation, for
@@ -207,9 +189,6 @@ func (p *Pipeline) Translate(img *imgproc.Gray) (*spo.SPO, *Report, error) {
 // translation is the "core.translate" layer with one layer per stage
 // under it, each feeding its span (traced ctx) and histogram (metrics).
 func (p *Pipeline) TranslateContext(ctx context.Context, img *imgproc.Gray) (out *spo.SPO, rep *Report, err error) {
-	if p.Metrics != nil {
-		p.Metrics.IntraWorkers.Set(int64(p.intraWorkers()))
-	}
 	l := p.layer(ctx, "core.translate")
 	defer func() {
 		if rep != nil {
@@ -294,14 +273,13 @@ func (p *Pipeline) Analyze(img *imgproc.Gray) *Report {
 
 // analyzeStagesCtx binarises the picture, runs LAD, then SED and OCR
 // concurrently. The picture is binarised exactly once here in core — its
-// own "imgproc.binarize" layer, tiled over intraWorkers goroutines
-// — and both LAD and the downstream stages read the shared packed image
-// (and the contour result) without mutating either, so they are free to
-// overlap; the text/edge cross-check runs after the join and the report is
-// bit-identical to the sequential order. Edge detections that coincide
-// with recognised text are discarded: a glyph like the signal name "X" is
-// itself a small double-ramp shape, and only the cross-check against OCR
-// separates the two readings.
+// own "imgproc.binarize" layer — and both LAD and the downstream stages
+// read the shared packed image (and the contour result) without mutating
+// either, so they are free to overlap; the text/edge cross-check runs
+// after the join and the report is bit-identical to the sequential order.
+// Edge detections that coincide with recognised text are discarded: a
+// glyph like the signal name "X" is itself a small double-ramp shape, and
+// only the cross-check against OCR separates the two readings.
 //
 // The packed image is imgproc scratch: it goes back to the pool once the
 // stages that read it have returned, so the report's Lines.BW is nil.
@@ -309,16 +287,15 @@ func (p *Pipeline) Analyze(img *imgproc.Gray) *Report {
 // Every stage checks ctx cooperatively; the first stage error (only ever
 // a context error) aborts the translation.
 func (p *Pipeline) analyzeStagesCtx(ctx context.Context, img *imgproc.Gray, runSED bool) (*Report, error) {
-	w := p.intraWorkers()
 	l := p.layer(ctx, "imgproc.binarize")
 	thr := p.LADCfg.Threshold
 	if thr == 0 {
-		thr = imgproc.OtsuThresholdW(img, w)
+		thr = imgproc.OtsuThreshold(img)
 	}
-	bw := imgproc.ThresholdW(img, thr, w)
+	bw := imgproc.Threshold(img, thr)
 	l.Int("threshold", int64(thr))
 	l.End()
-	rep, err := p.perceive(ctx, img, bw, w, runSED)
+	rep, err := p.perceive(ctx, img, bw, runSED)
 	// perceive returns only after every stage reading bw has returned (a
 	// panic skips this and leaves bw to the garbage collector).
 	if rep.Lines != nil {
@@ -330,14 +307,12 @@ func (p *Pipeline) analyzeStagesCtx(ctx context.Context, img *imgproc.Gray, runS
 
 // perceive runs LAD on the binarised picture bw, then SED and OCR
 // concurrently, and returns once none of them is running.
-func (p *Pipeline) perceive(ctx context.Context, img *imgproc.Gray, bw *imgproc.Binary, w int, runSED bool) (*Report, error) {
+func (p *Pipeline) perceive(ctx context.Context, img *imgproc.Gray, bw *imgproc.Binary, runSED bool) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return &Report{}, err
 	}
 	l := p.layer(ctx, "lad.detect")
-	ladCfg := p.LADCfg
-	ladCfg.Workers = w
-	lines, err := lad.DetectBinaryCtx(ctx, bw, ladCfg)
+	lines, err := lad.DetectBinaryCtx(ctx, bw, p.LADCfg)
 	if err != nil {
 		l.Bool("error", true)
 		l.End()
@@ -361,16 +336,14 @@ func (p *Pipeline) perceive(ctx context.Context, img *imgproc.Gray, bw *imgproc.
 			// SED runs concurrently with OCR; its span is a sibling of
 			// OCR's under the same parent, recorded goroutine-safely.
 			l := p.layer(ctx, "sed.detect")
-			edges, sedErr = p.SED.DetectCtxW(ctx, img, lines, w)
+			edges, sedErr = p.SED.DetectCtx(ctx, img, lines)
 			l.Int("edge_boxes", int64(len(edges))).Bool("error", sedErr != nil)
 			l.End()
 		}()
 	}
 	if p.OCR != nil {
 		l := p.layer(ctx, "ocr.read")
-		ocrCfg := p.OCRCfg
-		ocrCfg.Workers = w
-		texts, ocrErr := p.OCR.ReadAllCtx(ctx, bw, lines, ocrCfg)
+		texts, ocrErr := p.OCR.ReadAllCtx(ctx, bw, lines, p.OCRCfg)
 		l.Int("text_boxes", int64(len(texts))).Bool("error", ocrErr != nil)
 		l.End()
 		if ocrErr != nil {

@@ -40,10 +40,6 @@ type PipelineMetrics struct {
 	// series of the tdmagic_stage_seconds vector. SED and OCR overlap, so
 	// their sums can exceed tdmagic_translate_seconds.
 	Layers map[string]*metrics.Histogram
-	// IntraWorkers exports the pipeline's resolved intra-image worker
-	// count, so a scrape can tell whether a deployment runs the kernels
-	// tiled or sequentially.
-	IntraWorkers *metrics.Gauge
 }
 
 // stageLayers pairs each pipeline stage's layer name, the name tdbench
@@ -67,7 +63,6 @@ func NewPipelineMetrics(reg *metrics.Registry) *PipelineMetrics {
 		Panics:       reg.Counter("tdmagic_translate_panics_total", "batch items recovered from a panic"),
 		Diagnostics:  reg.Counter("tdmagic_translate_diags_total", "degradation diagnostics emitted"),
 		Latency:      reg.Histogram("tdmagic_translate_seconds", "translation wall-clock latency", nil),
-		IntraWorkers: reg.Gauge("tdmagic_intra_workers", "resolved intra-image worker count"),
 	}
 	m.Layers = map[string]*metrics.Histogram{"core.translate": m.Latency}
 	for _, s := range stageLayers {

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"tdmagic/internal/geom"
-	"tdmagic/internal/parallel"
 )
 
 // Component is a maximal set of 8-connected ink pixels.
@@ -36,54 +35,17 @@ type Region struct {
 // Components labels b with 8-connectivity and returns every connected
 // component of set pixels, sorted top-to-bottom then left-to-right by
 // bounding-box origin. Components with fewer than minArea pixels are dropped.
+//
+// The labelling unit is the horizontal run: runs are extracted with
+// trailing-zero word scans and vertically adjacent runs are unioned row
+// pair by row pair. Union-by-minimum-index keeps every set's root at the
+// component's first run in row-major order, so component discovery order —
+// and therefore the sorted output — is identical to the historical
+// per-pixel flood fill.
 func Components(b *Binary, minArea int) []Component {
-	return ComponentsW(b, minArea, 1)
-}
-
-// Regions is RegionsW with a single worker.
-func Regions(b *Binary, minArea int) []Region {
-	return RegionsW(b, minArea, 1)
-}
-
-// RegionsW labels b like ComponentsW but returns only each component's
-// bounding box and area, skipping the per-pixel Points materialisation —
-// the fast path for callers that never look at individual member pixels.
-// Ordering and filtering are identical to ComponentsW.
-func RegionsW(b *Binary, minArea, workers int) []Region {
 	ls := labelPool.Get().(*labelScratch)
 	defer labelPool.Put(ls)
-	runs, parent := ls.label(b, workers)
-	if runs == nil {
-		return nil
-	}
-	accs := ls.accumulate(runs, parent)
-	regs := make([]Region, 0, len(accs))
-	for _, a := range accs {
-		if int(a.area) >= minArea {
-			regs = append(regs, Region{Box: a.box, Area: int(a.area)})
-		}
-	}
-	sort.Slice(regs, func(i, j int) bool {
-		if regs[i].Box.Y0 != regs[j].Box.Y0 {
-			return regs[i].Box.Y0 < regs[j].Box.Y0
-		}
-		return regs[i].Box.X0 < regs[j].Box.X0
-	})
-	return regs
-}
-
-// ComponentsW is Components fanned out over workers goroutines (<= 1 runs
-// sequentially, inline). The image rows are split into bands: each band
-// extracts its runs with trailing-zero word scans and unions vertically
-// adjacent runs locally, then a sequential stitch pass merges runs across
-// the band boundaries in index order. Union-by-minimum-index keeps every
-// set's root at the component's first run in row-major order, so component
-// discovery order — and therefore the sorted output — is bit-identical for
-// any worker count, and identical to the historical per-pixel flood fill.
-func ComponentsW(b *Binary, minArea, workers int) []Component {
-	ls := labelPool.Get().(*labelScratch)
-	defer labelPool.Put(ls)
-	runs, parent := ls.label(b, workers)
+	runs, parent := ls.label(b)
 	if runs == nil {
 		return nil
 	}
@@ -127,12 +89,38 @@ func ComponentsW(b *Binary, minArea, workers int) []Component {
 	return comps
 }
 
-// labelScratch is the working memory of one labelling pass: the per-band
-// run lists, row offsets, run and parent arrays and per-component
-// aggregates. labelPool recycles it, so labelling a picture of a size the
-// pool has seen allocates only the Regions or Components returned.
+// Regions labels b like Components but returns only each component's
+// bounding box and area, skipping the per-pixel Points materialisation —
+// the fast path for callers that never look at individual member pixels.
+// Ordering and filtering are identical to Components.
+func Regions(b *Binary, minArea int) []Region {
+	ls := labelPool.Get().(*labelScratch)
+	defer labelPool.Put(ls)
+	runs, parent := ls.label(b)
+	if runs == nil {
+		return nil
+	}
+	accs := ls.accumulate(runs, parent)
+	regs := make([]Region, 0, len(accs))
+	for _, a := range accs {
+		if int(a.area) >= minArea {
+			regs = append(regs, Region{Box: a.box, Area: int(a.area)})
+		}
+	}
+	sort.Slice(regs, func(i, j int) bool {
+		if regs[i].Box.Y0 != regs[j].Box.Y0 {
+			return regs[i].Box.Y0 < regs[j].Box.Y0
+		}
+		return regs[i].Box.X0 < regs[j].Box.X0
+	})
+	return regs
+}
+
+// labelScratch is the working memory of one labelling pass: the run and
+// parent arrays, row offsets and per-component aggregates. labelPool
+// recycles it, so labelling a picture of a size the pool has seen
+// allocates only the Regions or Components returned.
 type labelScratch struct {
-	bands  [][]hrun
 	rowOff []int32
 	runs   []hrun
 	parent []int32
@@ -151,89 +139,43 @@ func resize[T any](s []T, n int) []T {
 }
 
 // label extracts the maximal horizontal runs of b in row-major order and
-// unions 8-connected runs, banded over workers goroutines. It returns nil
-// runs when the image is blank or degenerate. Both slices live in ls.
-func (ls *labelScratch) label(b *Binary, workers int) (runs []hrun, parent []int32) {
+// unions 8-connected runs. It returns nil runs when the image is blank or
+// degenerate. Both slices live in ls.
+func (ls *labelScratch) label(b *Binary) (runs []hrun, parent []int32) {
 	if b.W <= 0 || b.H <= 0 {
 		return nil, nil
 	}
-	workers = parallel.Resolve(workers)
-
-	// Band partition: at least a few rows per band so the stitch pass stays
-	// negligible; one band per worker is enough (runs scale with rows).
-	nb := workers
-	if nb > b.H {
-		nb = b.H
-	}
-	if nb < 1 {
-		nb = 1
-	}
-	bandStart := func(i int) int { return i * b.H / nb }
-
-	// Pass 1: per-band run extraction, plus per-row run counts so the bands
-	// can be concatenated into one row-major slice with O(1) row lookup.
-	bands := resize(ls.bands, nb)
+	// Pass 1: run extraction, with per-row offsets into the one row-major
+	// run slice for O(1) row lookup.
 	rowOff := resize(ls.rowOff, b.H+1)
-	ls.bands, ls.rowOff = bands, rowOff
-	rowOff[0] = 0
-	parallel.For(workers, nb, func(bi int) {
-		y0, y1 := bandStart(bi), bandStart(bi+1)
-		rs := bands[bi][:0]
-		if cap(rs) < 4*(y1-y0) {
-			rs = make([]hrun, 0, 4*(y1-y0))
-		}
-		for y := y0; y < y1; y++ {
-			row := b.Row(y)
-			n := int32(0)
-			x := nextSet(row, 0, b.W)
-			for x < b.W {
-				end := nextClear(row, x+1, b.W)
-				rs = append(rs, hrun{y: int32(y), x0: int32(x), x1: int32(end - 1)})
-				n++
-				x = nextSet(row, end+1, b.W)
-			}
-			rowOff[y+1] = n // per-row count; prefix-summed below
-		}
-		bands[bi] = rs
-	})
-	for y := 0; y < b.H; y++ {
-		rowOff[y+1] += rowOff[y]
+	runs = ls.runs[:0]
+	if cap(runs) < 4*b.H {
+		runs = make([]hrun, 0, 4*b.H)
 	}
-	nRuns := int(rowOff[b.H])
-	if nRuns == 0 {
+	rowOff[0] = 0
+	for y := 0; y < b.H; y++ {
+		row := b.Row(y)
+		x := nextSet(row, 0, b.W)
+		for x < b.W {
+			end := nextClear(row, x+1, b.W)
+			runs = append(runs, hrun{y: int32(y), x0: int32(x), x1: int32(end - 1)})
+			x = nextSet(row, end+1, b.W)
+		}
+		rowOff[y+1] = int32(len(runs))
+	}
+	ls.rowOff, ls.runs = rowOff, runs
+	if len(runs) == 0 {
 		return nil, nil
 	}
-	parent = resize(ls.parent, nRuns)
+	parent = resize(ls.parent, len(runs))
 	ls.parent = parent
-	if nb == 1 {
-		// The one band already holds every run in row-major order.
-		runs = bands[0]
-		for i := range parent {
-			parent[i] = int32(i)
-		}
-	} else {
-		runs = resize(ls.runs, nRuns)
-		ls.runs = runs
-		parallel.For(workers, nb, func(bi int) {
-			off := rowOff[bandStart(bi)]
-			copy(runs[off:], bands[bi])
-			for i := range bands[bi] {
-				parent[int(off)+i] = off + int32(i)
-			}
-		})
+	for i := range parent {
+		parent[i] = int32(i)
 	}
 
-	// Pass 2: union vertically adjacent runs. Each band unions the row pairs
-	// strictly inside it — those touch only run indices in the band's range,
-	// so the bands are data-independent — and the boundary row pairs are
-	// stitched sequentially afterwards, in band order.
-	parallel.For(workers, nb, func(bi int) {
-		for y := bandStart(bi) + 1; y < bandStart(bi+1); y++ {
-			unionRows(runs, parent, rowOff, y)
-		}
-	})
-	for bi := 1; bi < nb; bi++ {
-		unionRows(runs, parent, rowOff, bandStart(bi))
+	// Pass 2: union vertically adjacent runs, row pair by row pair.
+	for y := 1; y < b.H; y++ {
+		unionRows(runs, parent, rowOff, y)
 	}
 	return runs, parent
 }

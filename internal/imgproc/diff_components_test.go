@@ -11,13 +11,9 @@ import (
 	"tdmagic/internal/geom"
 )
 
-// Differential tests of the run-based union-find component labelling and the
-// banked Otsu histogram against their obvious per-pixel references, on random
-// and adversarial images, plus worker-count invariance for every *W kernel.
-
-// testWorkerCounts exercises the sequential path, an even split, a count
-// that does not divide typical image heights, and "every core".
-var testWorkerCounts = []int{1, 2, 7, -1}
+// Differential tests of the run-based union-find component labelling, the
+// banked Otsu histogram and the SWAR threshold against their obvious
+// per-pixel references, on random and adversarial images.
 
 // refComponents is the per-pixel BFS reference for 8-connected component
 // labelling, returning each component's points sorted row-major.
@@ -124,13 +120,9 @@ func TestDiffComponents(t *testing.T) {
 			b, s := randomPair(rng, w, 19, density)
 			for _, minArea := range []int{1, 2, 8} {
 				want := refComponents(s, minArea)
-				for _, workers := range testWorkerCounts {
-					got := ComponentsW(b, minArea, workers)
-					checkComponents(t, "ComponentsW", got, want)
-					regs := RegionsW(b, minArea, workers)
-					if len(regs) != len(want) {
-						t.Fatalf("RegionsW(workers=%d): %d regions, want %d", workers, len(regs), len(want))
-					}
+				checkComponents(t, "Components", Components(b, minArea), want)
+				if regs := Regions(b, minArea); len(regs) != len(want) {
+					t.Fatalf("Regions: %d regions, want %d", len(regs), len(want))
 				}
 			}
 		}
@@ -192,11 +184,7 @@ func TestDiffComponentsAdversarial(t *testing.T) {
 	for name, b := range adversarialImages() {
 		s := toShadow(b)
 		for _, minArea := range []int{1, 3} {
-			want := refComponents(s, minArea)
-			for _, workers := range testWorkerCounts {
-				got := ComponentsW(b, minArea, workers)
-				checkComponents(t, name, got, want)
-			}
+			checkComponents(t, name, Components(b, minArea), refComponents(s, minArea))
 		}
 		// ColProfile on the same shapes, against the per-pixel count.
 		cp := ColProfile(b)
@@ -329,32 +317,35 @@ func grayCases(rng *rand.Rand) map[string]*Gray {
 func TestDiffOtsu(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for name, g := range grayCases(rng) {
-		want := refOtsu(g)
-		for _, workers := range testWorkerCounts {
-			if got := OtsuThresholdW(g, workers); got != want {
-				t.Fatalf("%s: OtsuThresholdW(workers=%d)=%d want %d", name, workers, got, want)
-			}
+		if got, want := OtsuThreshold(g), refOtsu(g); got != want {
+			t.Fatalf("%s: OtsuThreshold=%d want %d", name, got, want)
 		}
 	}
 }
 
-func TestDiffThresholdWorkerInvariance(t *testing.T) {
+// TestOtsuThresholdZeroAlloc pins OtsuThreshold's histogram banks to the
+// stack: on a picture the size of the serving benchmark's it allocates
+// nothing.
+func TestOtsuThresholdZeroAlloc(t *testing.T) {
+	g := NewGray(900, 560)
+	for i := range g.Pix {
+		g.Pix[i] = uint8(i * 7)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { OtsuThreshold(g) }); allocs != 0 {
+		t.Errorf("OtsuThreshold allocates %v times per call, want 0", allocs)
+	}
+}
+
+func TestDiffThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for name, g := range grayCases(rng) {
 		thr := OtsuThreshold(g)
-		base := ThresholdW(g, thr, 1)
-		for _, workers := range testWorkerCounts[1:] {
-			got := ThresholdW(g, thr, workers)
-			if !reflect.DeepEqual(got.Words, base.Words) {
-				t.Fatalf("%s: ThresholdW(workers=%d) differs from sequential", name, workers)
-			}
-		}
-		// And against the per-pixel definition.
+		got := Threshold(g, thr)
 		for y := 0; y < g.H; y++ {
 			for x := 0; x < g.W; x++ {
 				want := g.Pix[y*g.W+x] < thr
-				if base.At(x, y) != want {
-					t.Fatalf("%s: Threshold(%d,%d)=%v want %v", name, x, y, base.At(x, y), want)
+				if got.At(x, y) != want {
+					t.Fatalf("%s: Threshold(%d,%d)=%v want %v", name, x, y, got.At(x, y), want)
 				}
 			}
 		}

@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"tdmagic/internal/geom"
-	"tdmagic/internal/parallel"
 )
 
 // Gray is a dense 8-bit grayscale image. 0 is black, 255 is white.
@@ -400,33 +399,23 @@ func (b *Binary) ToGray() *Gray {
 // Threshold converts g to an inverse binary image: a pixel is set when its
 // gray value is strictly below thr (i.e. the pixel carries ink). The packed
 // words are written directly, one 64-pixel word at a time.
-func Threshold(g *Gray, thr uint8) *Binary {
-	return ThresholdW(g, thr, 1)
-}
-
-// ThresholdW is Threshold with the rows fanned out over workers. The rows
-// are independent, so the result is identical for any worker count.
 //
 // The result comes from the scratch pool (GetBinary), every word written; a
 // caller done with it may give it back with PutBinary.
-func ThresholdW(g *Gray, thr uint8, workers int) *Binary {
+func Threshold(g *Gray, thr uint8) *Binary {
 	b := GetBinary(g.W, g.H)
-	workers = parallel.Resolve(workers)
-	if workers <= 1 || g.H < 64 {
-		thresholdRows(g, b, thr, 0, g.H)
-		return b
-	}
-	if workers > g.H {
-		workers = g.H
-	}
-	parallel.For(workers, workers, func(i int) {
-		thresholdRows(g, b, thr, i*g.H/workers, (i+1)*g.H/workers)
-	})
+	thresholdRows(g, b, thr)
 	return b
 }
 
-// thresholdRows binarizes rows [y0, y1) of g into b.
-func thresholdRows(g *Gray, b *Binary, thr uint8, y0, y1 int) {
+// ThresholdW is Threshold; workers is ignored. tdbench/traced.go still
+// calls it.
+//
+// Deprecated: the kernels run on the calling goroutine. Use Threshold.
+func ThresholdW(g *Gray, thr uint8, workers int) *Binary { return Threshold(g, thr) }
+
+// thresholdRows binarizes every row of g into b.
+func thresholdRows(g *Gray, b *Binary, thr uint8) {
 	const (
 		ones uint64 = 0x0101010101010101
 		hi   uint64 = 0x8080808080808080
@@ -445,7 +434,7 @@ func thresholdRows(g *Gray, b *Binary, thr uint8, y0, y1 int) {
 	}
 	nsel := ^sel
 	t32 := uint32(thr)
-	for y := y0; y < y1; y++ {
+	for y := 0; y < g.H; y++ {
 		src := g.Pix[y*g.W : (y+1)*g.W]
 		row := b.Words[y*b.Stride : (y+1)*b.Stride]
 		x, wi := 0, 0
@@ -477,13 +466,6 @@ func thresholdRows(g *Gray, b *Binary, thr uint8, y0, y1 int) {
 			row[wi] = w
 		}
 	}
-}
-
-// OtsuThreshold computes the Otsu threshold of g: the gray level that
-// maximises the between-class variance of the ink/paper split. It returns a
-// value suitable to pass to Threshold.
-func OtsuThreshold(g *Gray) uint8 {
-	return OtsuThresholdW(g, 1)
 }
 
 // histogram8 accumulates the gray histogram of pix into eight interleaved
@@ -524,30 +506,21 @@ func histogram8(pix []uint8, h *[8][256]uint32) {
 	h[0][0] += 8 * black
 }
 
-// OtsuThresholdW is OtsuThreshold with the histogram pass fanned out over
-// workers. Partial histograms are summed with integer addition, so the
-// result is identical for any worker count.
-func OtsuThresholdW(g *Gray, workers int) uint8 {
+// OtsuThreshold computes the Otsu threshold of g: the gray level that
+// maximises the between-class variance of the ink/paper split. It returns a
+// value suitable to pass to Threshold. The histogram banks live on the
+// stack, so the call allocates nothing.
+func OtsuThreshold(g *Gray) uint8 {
 	total := len(g.Pix)
 	if total == 0 {
 		return 128
 	}
-	workers = parallel.Resolve(workers)
-	if total < 1<<16 {
-		workers = 1
-	} else if workers > 8 {
-		workers = 8
-	}
-	parts := make([][8][256]uint32, workers)
-	parallel.For(workers, workers, func(i int) {
-		histogram8(g.Pix[i*total/workers:(i+1)*total/workers], &parts[i])
-	})
+	var banks [8][256]uint32
+	histogram8(g.Pix, &banks)
 	var hist [256]int
-	for p := range parts {
-		for bank := 0; bank < 8; bank++ {
-			for v := 0; v < 256; v++ {
-				hist[v] += int(parts[p][bank][v])
-			}
+	for bank := range banks {
+		for v := range hist {
+			hist[v] += int(banks[bank][v])
 		}
 	}
 	var sum float64
@@ -578,3 +551,9 @@ func OtsuThresholdW(g *Gray, workers int) uint8 {
 	// boundary.
 	return uint8(geom.Clamp(best+1, 1, 255))
 }
+
+// OtsuThresholdW is OtsuThreshold; workers is ignored. tdbench/traced.go
+// still calls it.
+//
+// Deprecated: the kernels run on the calling goroutine. Use OtsuThreshold.
+func OtsuThresholdW(g *Gray, workers int) uint8 { return OtsuThreshold(g) }

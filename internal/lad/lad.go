@@ -18,7 +18,6 @@ import (
 	"tdmagic/internal/geom"
 	"tdmagic/internal/imgproc"
 	"tdmagic/internal/morph"
-	"tdmagic/internal/parallel"
 )
 
 // Config holds the morphology parameters.
@@ -33,21 +32,10 @@ type Config struct {
 	// MaxThick rejects contours thicker than this across their axis —
 	// text blobs and filled regions are not lines.
 	MaxThick int
-	// Workers tiles the binarisation and morphology passes within one
-	// picture and runs the vertical/horizontal contour extractions
-	// concurrently: 0 or 1 runs sequentially, < 0 uses every core, > 1
-	// uses that many goroutines. The result is bit-identical for any
-	// value; batch callers that already parallelise across pictures
-	// should leave it at 0.
+	// Workers is ignored; tdbench/traced.go still sets it.
+	//
+	// Deprecated: the kernels run on the calling goroutine.
 	Workers int
-}
-
-// workers resolves cfg.Workers to a concrete count (0 → sequential).
-func (cfg Config) workers() int {
-	if cfg.Workers == 0 {
-		return 1
-	}
-	return parallel.Resolve(cfg.Workers)
 }
 
 // DefaultConfig returns parameters tuned for the generated 900×540 pictures
@@ -93,15 +81,14 @@ func Detect(img *imgproc.Gray, cfg Config) *Result {
 // per-contour density scans, so a pathological picture cannot run past
 // its deadline by more than one pass.
 func DetectCtx(ctx context.Context, img *imgproc.Gray, cfg Config) (*Result, error) {
-	w := cfg.workers()
 	thr := cfg.Threshold
 	if thr == 0 {
-		thr = imgproc.OtsuThresholdW(img, w)
+		thr = imgproc.OtsuThreshold(img)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	bw := imgproc.ThresholdW(img, thr, w)
+	bw := imgproc.Threshold(img, thr)
 	return DetectBinaryCtx(ctx, bw, cfg)
 }
 
@@ -117,24 +104,7 @@ func DetectBinaryCtx(ctx context.Context, bw *imgproc.Binary, cfg Config) (*Resu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	w := cfg.workers()
-	var hSegs []geom.HSeg
-	var hDone chan struct{}
-	if w > 1 {
-		// Both extractions read bw without mutating it, so with spare
-		// workers the horizontal pass overlaps the vertical one. Each
-		// result lands in its own variable and the loops below run in the
-		// sequential order, so the assembled Result is bit-identical.
-		hDone = make(chan struct{})
-		go func() {
-			defer close(hDone)
-			hSegs = morph.HorizontalContoursW(bw, cfg.HBridge, cfg.HMinLen, cfg.MaxThick, w)
-		}()
-		// An early ctx-error return must not leave the goroutine writing
-		// hSegs behind the caller's back.
-		defer func() { <-hDone }()
-	}
-	for i, seg := range morph.VerticalContoursW(bw, cfg.VBridge, cfg.VMinLen, cfg.MaxThick, w) {
+	for i, seg := range morph.VerticalContours(bw, cfg.VBridge, cfg.VMinLen, cfg.MaxThick) {
 		if i&63 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -145,12 +115,7 @@ func DetectBinaryCtx(ctx context.Context, bw *imgproc.Binary, cfg Config) (*Resu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if hDone != nil {
-		<-hDone
-	} else {
-		hSegs = morph.HorizontalContoursW(bw, cfg.HBridge, cfg.HMinLen, cfg.MaxThick, w)
-	}
-	for i, seg := range hSegs {
+	for i, seg := range morph.HorizontalContours(bw, cfg.HBridge, cfg.HMinLen, cfg.MaxThick) {
 		if i&63 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err

@@ -97,47 +97,6 @@ func TestDiffDilateErode(t *testing.T) {
 	}
 }
 
-// TestDiffWorkerInvariance pins the tiled kernels to the sequential result
-// word for word: any worker count must produce bit-identical images and
-// contour lists.
-func TestDiffWorkerInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, dims := range [][2]int{{9, 130}, {130, 9}, {193, 67}} {
-		b := imgproc.NewBinary(dims[0], dims[1])
-		fillRand(b, rng, 2)
-		for _, se := range []SE{HLine(9), VLine(9), Rect(5, 3), Rect(2, 4)} {
-			wantD := dilateW(b, se, 1)
-			wantE := erodeW(b, se, 1)
-			for _, workers := range []int{2, 7, -1} {
-				diffOne(t, "dilateW", dilateW(b, se, workers), wantD)
-				diffOne(t, "erodeW", erodeW(b, se, workers), wantE)
-			}
-		}
-		wantV := VerticalContours(b, 3, 4, 6)
-		wantH := HorizontalContours(b, 3, 4, 6)
-		for _, workers := range []int{2, 7, -1} {
-			gotV := VerticalContoursW(b, 3, 4, 6, workers)
-			if len(gotV) != len(wantV) {
-				t.Fatalf("VerticalContoursW(workers=%d): %d segs want %d", workers, len(gotV), len(wantV))
-			}
-			for i := range gotV {
-				if gotV[i] != wantV[i] {
-					t.Fatalf("VerticalContoursW(workers=%d)[%d]=%v want %v", workers, i, gotV[i], wantV[i])
-				}
-			}
-			gotH := HorizontalContoursW(b, 3, 4, 6, workers)
-			if len(gotH) != len(wantH) {
-				t.Fatalf("HorizontalContoursW(workers=%d): %d segs want %d", workers, len(gotH), len(wantH))
-			}
-			for i := range gotH {
-				if gotH[i] != wantH[i] {
-					t.Fatalf("HorizontalContoursW(workers=%d)[%d]=%v want %v", workers, i, gotH[i], wantH[i])
-				}
-			}
-		}
-	}
-}
-
 func TestDiffSparseAndDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, denom := range []int{1, 2, 20} { // solid, half, sparse

@@ -19,33 +19,7 @@ package morph
 import (
 	"tdmagic/internal/geom"
 	"tdmagic/internal/imgproc"
-	"tdmagic/internal/parallel"
 )
-
-// forWords fans fn out over contiguous word ranges of an n-word image.
-// Chunks are fixed by the worker count and every index is written by exactly
-// one chunk, so the result is identical for any worker count; small images
-// run inline — the fan-out barrier would cost more than the pass itself.
-func forWords(workers, n int, fn func(i0, i1 int)) {
-	if workers <= 1 || n < 1<<14 {
-		fn(0, n)
-		return
-	}
-	parallel.For(workers, workers, func(i int) {
-		fn(i*n/workers, (i+1)*n/workers)
-	})
-}
-
-// forRows is forWords over row ranges.
-func forRows(workers, h, stride int, fn func(y0, y1 int)) {
-	if workers <= 1 || h*stride < 1<<14 {
-		fn(0, h)
-		return
-	}
-	parallel.For(workers, workers, func(i int) {
-		fn(i*h/workers, (i+1)*h/workers)
-	})
-}
 
 // SE is a flat rectangular structuring element, centred. W and H must be
 // >= 1. Even-sized extents are biased toward the top-left: an element of
@@ -67,22 +41,7 @@ func Rect(w, h int) SE { return SE{W: w, H: h} }
 // Dilate returns the dilation of b by se: a pixel is set in the result when
 // any pixel under the (centred) element is set in b.
 func Dilate(b *imgproc.Binary, se SE) *imgproc.Binary {
-	return dilateW(b, se, 1)
-}
-
-func dilateW(b *imgproc.Binary, se SE, workers int) *imgproc.Binary {
-	// Separable: dilate horizontally then vertically. Line elements skip
-	// the unit-length direction — lineOp with n <= 1 is a full-image copy.
-	if se.H <= 1 {
-		return dilateH(b, se.W, workers) // W <= 1 copies, preserving ownership
-	}
-	if se.W <= 1 {
-		return dilateV(b, se.H, workers)
-	}
-	tmp := dilateH(b, se.W, workers)
-	res := dilateV(tmp, se.H, workers)
-	imgproc.PutBinary(tmp)
-	return res
+	return rectOp(b, se, false)
 }
 
 // Erode returns the erosion of b by se: a pixel is set in the result only
@@ -90,18 +49,22 @@ func dilateW(b *imgproc.Binary, se SE, workers int) *imgproc.Binary {
 // the image are treated as clear, so erosion shrinks structures touching the
 // border.
 func Erode(b *imgproc.Binary, se SE) *imgproc.Binary {
-	return erodeW(b, se, 1)
+	return rectOp(b, se, true)
 }
 
-func erodeW(b *imgproc.Binary, se SE, workers int) *imgproc.Binary {
+// rectOp is the separable rectangle reduction: horizontal then vertical
+// line windows, OR for dilation (and=false) and AND for erosion. Line
+// elements skip the unit-length direction — a line op with n <= 1 is a
+// full-image copy.
+func rectOp(b *imgproc.Binary, se SE, and bool) *imgproc.Binary {
 	if se.H <= 1 {
-		return erodeH(b, se.W, workers)
+		return hLineOp(b, se.W, and) // W <= 1 copies, preserving ownership
 	}
 	if se.W <= 1 {
-		return erodeV(b, se.H, workers)
+		return vLineOp(b, se.H, and)
 	}
-	tmp := erodeH(b, se.W, workers)
-	res := erodeV(tmp, se.H, workers)
+	tmp := hLineOp(b, se.W, and)
+	res := vLineOp(tmp, se.H, and)
 	imgproc.PutBinary(tmp)
 	return res
 }
@@ -110,12 +73,8 @@ func erodeW(b *imgproc.Binary, se SE, workers int) *imgproc.Binary {
 // vertical line element keeps only structures at least as tall as the
 // element.
 func Open(b *imgproc.Binary, se SE) *imgproc.Binary {
-	return openW(b, se, 1)
-}
-
-func openW(b *imgproc.Binary, se SE, workers int) *imgproc.Binary {
-	tmp := erodeW(b, se, workers)
-	res := dilateW(tmp, se, workers)
+	tmp := Erode(b, se)
+	res := Dilate(tmp, se)
 	imgproc.PutBinary(tmp)
 	return res
 }
@@ -124,12 +83,8 @@ func openW(b *imgproc.Binary, se SE, workers int) *imgproc.Binary {
 // a vertical line element bridges vertical gaps shorter than the element —
 // this is what turns dashed annotation lines into solid ones.
 func Close(b *imgproc.Binary, se SE) *imgproc.Binary {
-	return closeW(b, se, 1)
-}
-
-func closeW(b *imgproc.Binary, se SE, workers int) *imgproc.Binary {
-	tmp := dilateW(b, se, workers)
-	res := erodeW(tmp, se, workers)
+	tmp := Dilate(b, se)
+	res := Erode(tmp, se)
 	imgproc.PutBinary(tmp)
 	return res
 }
@@ -137,7 +92,7 @@ func closeW(b *imgproc.Binary, se SE, workers int) *imgproc.Binary {
 // hLineOp applies the centred length-n horizontal window reduction in a
 // single pass over the image. The centred window [x-left, x+right] is the
 // forward window [x, x+n-1] evaluated at x-left, so each row is smeared
-// forward in a per-worker buffer with logarithmic in-register shift-combines
+// forward in a row buffer with logarithmic in-register shift-combines
 // (coverage doubles each pass) and then stored through one final shift — one
 // load and one store per image word, no intermediate images. The buffer is
 // padded with pw leading zero words so the smear also produces the window
@@ -146,7 +101,7 @@ func closeW(b *imgproc.Binary, se SE, workers int) *imgproc.Binary {
 // erosion (and=true); bits beyond the row borders are clear, which gives
 // both reference border semantics (OR ignores clipped pixels, AND treats
 // them as misses).
-func hLineOp(b *imgproc.Binary, n int, and bool, workers int) *imgproc.Binary {
+func hLineOp(b *imgproc.Binary, n int, and bool) *imgproc.Binary {
 	if n <= 1 {
 		return imgproc.GetCopy(b)
 	}
@@ -162,28 +117,26 @@ func hLineOp(b *imgproc.Binary, n int, and bool, workers int) *imgproc.Binary {
 	s := pw*64 - left // dst bit x reads padded smear bit x+s, s >= 1
 	ws, bs := s>>6, uint(s)&63
 	plen := stride + pw + 1 // one trailing zero word for uniform word-pair reads
-	forRows(workers, b.H, stride, func(y0, y1 int) {
-		buf := make([]uint64, plen)
-		for y := y0; y < y1; y++ {
-			for i := 0; i < pw; i++ {
-				buf[i] = 0
-			}
-			copy(buf[pw:], b.Words[y*stride:(y+1)*stride])
-			buf[plen-1] = 0
-			// The trailing pad word stays zero through the smear: positions
-			// at and past the row width reduce over virtual clear pixels
-			// only. Shifts by 64 are defined as 0 in Go, so word-aligned
-			// offsets need no special path anywhere below.
-			rowSmearFwd(buf[:plen-1], n-1, and)
-			drow := res.Words[y*stride : (y+1)*stride]
-			for j := range drow {
-				drow[j] = buf[j+ws]>>bs | buf[j+ws+1]<<(64-bs)
-			}
-			// The shift can expose smear values in the padding positions;
-			// mask to keep the padding-bits-zero invariant.
-			drow[stride-1] &= tailMask
+	buf := make([]uint64, plen)
+	for y := 0; y < b.H; y++ {
+		for i := 0; i < pw; i++ {
+			buf[i] = 0
 		}
-	})
+		copy(buf[pw:], b.Words[y*stride:(y+1)*stride])
+		buf[plen-1] = 0
+		// The trailing pad word stays zero through the smear: positions
+		// at and past the row width reduce over virtual clear pixels
+		// only. Shifts by 64 are defined as 0 in Go, so word-aligned
+		// offsets need no special path anywhere below.
+		rowSmearFwd(buf[:plen-1], n-1, and)
+		drow := res.Words[y*stride : (y+1)*stride]
+		for j := range drow {
+			drow[j] = buf[j+ws]>>bs | buf[j+ws+1]<<(64-bs)
+		}
+		// The shift can expose smear values in the padding positions;
+		// mask to keep the padding-bits-zero invariant.
+		drow[stride-1] &= tailMask
+	}
 	return res
 }
 
@@ -249,7 +202,7 @@ func rowShiftDownCombine(row []uint64, k int, and bool) {
 // column word regardless of n, versus O(log n) full-image passes for the
 // shift-smear formulation. Virtual rows beyond the image are clear, giving
 // the same border semantics as the horizontal kernels.
-func vLineOp(b *imgproc.Binary, n int, and bool, workers int) *imgproc.Binary {
+func vLineOp(b *imgproc.Binary, n int, and bool) *imgproc.Binary {
 	if n <= 1 {
 		return imgproc.GetCopy(b)
 	}
@@ -259,21 +212,12 @@ func vLineOp(b *imgproc.Binary, n int, and bool, workers int) *imgproc.Binary {
 	pn := h + n - 1   // padded column: index p = y+up, y in [-up, h-1+(n-1-up)]
 	nb := (pn + n - 1) / n
 	plen := nb * n
-	workers = parallel.Resolve(workers)
-	if workers > 1 && h*stride < 1<<14 {
-		workers = 1
-	}
-	if workers > stride {
-		workers = stride
-	}
-	// Each worker's padded column and its suffix and prefix reductions,
-	// taken as one scratch image a word wide so they recycle with the
-	// full-frame images.
-	scratch := imgproc.GetBinary(64, workers*3*plen)
+	// The padded column and its suffix and prefix reductions, taken as one
+	// scratch image a word wide so they recycle with the full-frame images.
+	scratch := imgproc.GetBinary(64, 3*plen)
 	defer imgproc.PutBinary(scratch)
-	parallel.ForWorker(workers, stride, func(worker, j int) {
-		buf := scratch.Words[worker*3*plen : (worker+1)*3*plen]
-		col, suf, pre := buf[:plen], buf[plen:2*plen], buf[2*plen:]
+	col, suf, pre := scratch.Words[:plen], scratch.Words[plen:2*plen], scratch.Words[2*plen:]
+	for j := 0; j < stride; j++ {
 		for i := 0; i < up; i++ {
 			col[i] = 0
 		}
@@ -323,24 +267,8 @@ func vLineOp(b *imgproc.Binary, n int, and bool, workers int) *imgproc.Binary {
 				res.Words[y*stride+j] = suf[y] | pre[y+n-1]
 			}
 		}
-	})
+	}
 	return res
-}
-
-func dilateH(b *imgproc.Binary, n, workers int) *imgproc.Binary {
-	return hLineOp(b, n, false, workers)
-}
-
-func dilateV(b *imgproc.Binary, n, workers int) *imgproc.Binary {
-	return vLineOp(b, n, false, workers)
-}
-
-func erodeH(b *imgproc.Binary, n, workers int) *imgproc.Binary {
-	return hLineOp(b, n, true, workers)
-}
-
-func erodeV(b *imgproc.Binary, n, workers int) *imgproc.Binary {
-	return vLineOp(b, n, true, workers)
 }
 
 // VerticalContours extracts vertical structures from b: it first closes with
@@ -351,22 +279,15 @@ func erodeV(b *imgproc.Binary, n, workers int) *imgproc.Binary {
 // line-shaped (text blobs, filled areas) and are dropped; maxThick <= 0
 // disables the filter.
 func VerticalContours(b *imgproc.Binary, bridge, minLen, maxThick int) []geom.VSeg {
-	return VerticalContoursW(b, bridge, minLen, maxThick, 1)
-}
-
-// VerticalContoursW is VerticalContours with the morphology smears and the
-// component labelling tiled over workers goroutines (<= 1 runs inline). The
-// result is bit-identical for any worker count.
-func VerticalContoursW(b *imgproc.Binary, bridge, minLen, maxThick, workers int) []geom.VSeg {
 	work := b
 	if bridge > 1 {
-		work = closeW(b, VLine(bridge), workers)
+		work = Close(b, VLine(bridge))
 	}
-	opened := openW(work, VLine(minLen), workers)
+	opened := Open(work, VLine(minLen))
 	if work != b {
 		imgproc.PutBinary(work)
 	}
-	regs := imgproc.RegionsW(opened, minLen, workers)
+	regs := imgproc.Regions(opened, minLen)
 	imgproc.PutBinary(opened)
 	segs := make([]geom.VSeg, 0, len(regs))
 	for _, c := range regs {
@@ -385,20 +306,15 @@ func VerticalContoursW(b *imgproc.Binary, bridge, minLen, maxThick, workers int)
 // HorizontalContours is the horizontal counterpart of VerticalContours;
 // components taller than maxThick are dropped.
 func HorizontalContours(b *imgproc.Binary, bridge, minLen, maxThick int) []geom.HSeg {
-	return HorizontalContoursW(b, bridge, minLen, maxThick, 1)
-}
-
-// HorizontalContoursW is HorizontalContours tiled over workers goroutines.
-func HorizontalContoursW(b *imgproc.Binary, bridge, minLen, maxThick, workers int) []geom.HSeg {
 	work := b
 	if bridge > 1 {
-		work = closeW(b, HLine(bridge), workers)
+		work = Close(b, HLine(bridge))
 	}
-	opened := openW(work, HLine(minLen), workers)
+	opened := Open(work, HLine(minLen))
 	if work != b {
 		imgproc.PutBinary(work)
 	}
-	regs := imgproc.RegionsW(opened, minLen, workers)
+	regs := imgproc.Regions(opened, minLen)
 	imgproc.PutBinary(opened)
 	segs := make([]geom.HSeg, 0, len(regs))
 	for _, c := range regs {

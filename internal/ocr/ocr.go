@@ -397,9 +397,9 @@ type DetectConfig struct {
 	// MinConf drops clusters whose recognition confidence is below this
 	// (arrow heads and stroke leftovers match no template well).
 	MinConf float64
-	// Workers tiles the component labelling inside one picture: 0 or 1
-	// runs sequentially, < 0 uses every core. The detected boxes are
-	// bit-identical for any value.
+	// Workers is ignored; tdbench/traced.go still sets it.
+	//
+	// Deprecated: the kernels run on the calling goroutine.
 	Workers int
 }
 
@@ -436,11 +436,7 @@ func DetectRegions(bw *imgproc.Binary, lines *lad.Result, cfg DetectConfig) []ge
 	for _, run := range imgproc.VRuns(work, 24) {
 		work.ClearRect(run.Rect())
 	}
-	w := cfg.Workers
-	if w == 0 {
-		w = 1
-	}
-	comps := imgproc.RegionsW(work, 2, w)
+	comps := imgproc.Regions(work, 2)
 	imgproc.PutBinary(work)
 	var boxes []geom.Rect
 	for _, c := range comps {

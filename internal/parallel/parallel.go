@@ -26,19 +26,13 @@ func Resolve(workers int) int {
 // identical for any worker count. workers <= 1 runs inline with no
 // goroutines.
 func For(workers, n int, fn func(i int)) {
-	ForWorker(workers, n, func(_, i int) { fn(i) })
-}
-
-// ForWorker is For with the worker id passed to fn, so callers can reuse
-// per-worker scratch buffers. Worker ids are in [0, workers).
-func ForWorker(workers, n int, fn func(worker, i int)) {
 	workers = Resolve(workers)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -46,16 +40,16 @@ func ForWorker(workers, n int, fn func(worker, i int)) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				fn(worker, i)
+				fn(i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }

@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 )
 
@@ -32,19 +31,6 @@ func TestForZeroN(t *testing.T) {
 	For(4, 0, func(int) { called = true })
 	if called {
 		t.Error("fn called with n=0")
-	}
-}
-
-func TestForWorkerIDsBounded(t *testing.T) {
-	const workers = 3
-	var bad atomic.Bool
-	ForWorker(workers, 50, func(w, i int) {
-		if w < 0 || w >= workers {
-			bad.Store(true)
-		}
-	})
-	if bad.Load() {
-		t.Error("worker id out of range")
 	}
 }
 

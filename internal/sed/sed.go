@@ -55,11 +55,6 @@ type Config struct {
 	// can shatter into tens of thousands of single-pixel components and
 	// turn proposal merging quadratic. <= 0 selects DefaultMaxProposals.
 	MaxProposals int
-	// Workers tiles the component labelling inside one picture: 0 or 1
-	// runs sequentially, < 0 uses every core. The proposals are
-	// bit-identical for any value. Not serialised with the model; the
-	// pipeline sets it per call from its IntraWorkers knob.
-	Workers int
 }
 
 // DefaultMaxProposals is the proposal cap used when Config.MaxProposals
@@ -120,7 +115,6 @@ func (m *Model) getScratch() *detectScratch {
 // reports.
 func cleanup(bw *imgproc.Binary, lines *lad.Result, cfg Config) *imgproc.Binary {
 	work := imgproc.GetCopy(bw)
-	const win, localSolid = 5, 0.9
 	// Long solid vertical contours are annotation lines drawn solid (an
 	// industrial style): erase the stretches where the line runs alone,
 	// keeping crossings with waveform ink. Short solid verticals are step
@@ -144,72 +138,40 @@ func cleanup(bw *imgproc.Binary, lines *lad.Result, cfg Config) *imgproc.Binary 
 			}
 		}
 	}
+	// Dashed contours are erased where their sliding window finds gaps.
+	// One word-wide scratch image holds the window's prefix sums (a
+	// contour lies inside bw, so it spans at most max(W, H) positions) and
+	// the 3-row band of a horizontal contour.
+	n := max(bw.W, bw.H) + 1
+	scratch := imgproc.GetBinary(64, n+bw.Stride)
+	defer imgproc.PutBinary(scratch)
+	pre, band := scratch.Words[:n], scratch.Words[n:]
 	for _, v := range lines.V {
 		if !lad.Dashed(v.Density) {
 			continue
 		}
-		// Probe each row's 3-column band once, then answer every sliding
-		// window from the prefix sum.
-		y0, y1 := v.Seg.Y0, v.Seg.Y1
-		pre := make([]int, y1-y0+2)
-		for i, yy := 0, y0; yy <= y1; i, yy = i+1, yy+1 {
-			hit := 0
-			if bw.RowAny(yy, v.Seg.X-1, v.Seg.X+1) {
-				hit = 1
-			}
-			pre[i+1] = pre[i] + hit
-		}
-		for y := y0; y <= y1; y++ {
-			lo, hi := y-win, y+win
-			if lo < y0 {
-				lo = y0
-			}
-			if hi > y1 {
-				hi = y1
-			}
-			hits := pre[hi-y0+1] - pre[lo-y0]
-			if float64(hits)/float64(hi-lo+1) < localSolid {
-				work.ClearRect(geom.Rect{X0: v.Seg.X - 2, Y0: y, X1: v.Seg.X + 2, Y1: y})
-			}
-		}
+		x, y0 := v.Seg.X, v.Seg.Y0
+		dashGaps(v.Seg.Y1-y0+1, pre,
+			func(i int) bool { return bw.RowAny(y0+i, x-1, x+1) },
+			func(i int) { work.ClearRect(geom.Rect{X0: x - 2, Y0: y0 + i, X1: x + 2, Y1: y0 + i}) })
 	}
 	for _, h := range lines.H {
 		if !lad.Dashed(h.Density) {
 			continue
 		}
-		// OR the 3-row band word-wise once, then answer every sliding
-		// window from the prefix sum of the per-column occupancy.
-		acc := make([]uint64, bw.Stride)
+		// OR the 3-row band word-wise once, then probe its bits.
+		clear(band)
 		for dy := -1; dy <= 1; dy++ {
 			if yy := h.Seg.Y + dy; yy >= 0 && yy < bw.H {
-				row := bw.Row(yy)
-				for j := range acc {
-					acc[j] |= row[j]
+				for j, w := range bw.Row(yy) {
+					band[j] |= w
 				}
 			}
 		}
-		x0, x1 := h.Seg.X0, h.Seg.X1
-		pre := make([]int, x1-x0+2)
-		for i, xx := 0, x0; xx <= x1; i, xx = i+1, xx+1 {
-			hit := 0
-			if acc[xx>>6]>>(uint(xx)&63)&1 != 0 {
-				hit = 1
-			}
-			pre[i+1] = pre[i] + hit
-		}
-		for x := x0; x <= x1; x++ {
-			lo, hi := x-win, x+win
-			if lo < x0 {
-				lo = x0
-			}
-			if hi > x1 {
-				hi = x1
-			}
-			hits := pre[hi-x0+1] - pre[lo-x0]
-			if float64(hits)/float64(hi-lo+1) < localSolid {
-				work.ClearRect(geom.Rect{X0: x, Y0: h.Seg.Y - 2, X1: x, Y1: h.Seg.Y + 2})
-			}
-		}
+		y, x0 := h.Seg.Y, h.Seg.X0
+		dashGaps(h.Seg.X1-x0+1, pre,
+			func(i int) bool { x := x0 + i; return band[x>>6]>>(uint(x)&63)&1 != 0 },
+			func(i int) { work.ClearRect(geom.Rect{X0: x0 + i, Y0: y - 2, X1: x0 + i, Y1: y + 2}) })
 	}
 	for _, run := range imgproc.HRuns(work, cfg.MinPlateauRun) {
 		work.ClearRect(run.Rect())
@@ -217,14 +179,32 @@ func cleanup(bw *imgproc.Binary, lines *lad.Result, cfg Config) *imgproc.Binary 
 	return work
 }
 
+// dashGaps runs the sliding window along one dashed contour of n
+// positions, where ink(i) reports ink at position i: it calls gap(i) for
+// every position whose centred window of 11 positions, clipped to the
+// contour, has ink at under 90% of them. pre is scratch of at least n+1
+// words for the window's prefix sums.
+func dashGaps(n int, pre []uint64, ink func(i int) bool, gap func(i int)) {
+	const win, localSolid = 5, 0.9
+	pre[0] = 0
+	for i := 0; i < n; i++ {
+		pre[i+1] = pre[i]
+		if ink(i) {
+			pre[i+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		lo, hi := max(i-win, 0), min(i+win, n-1)
+		if float64(pre[hi+1]-pre[lo])/float64(hi-lo+1) < localSolid {
+			gap(i)
+		}
+	}
+}
+
 // Propose returns candidate edge boxes from the working image.
 func Propose(bw *imgproc.Binary, lines *lad.Result, cfg Config) []geom.Rect {
 	work := cleanup(bw, lines, cfg)
-	w := cfg.Workers
-	if w == 0 {
-		w = 1
-	}
-	comps := imgproc.RegionsW(work, 4, w)
+	comps := imgproc.Regions(work, 4)
 	boxes := make([]geom.Rect, 0, len(comps))
 	areas := make([]int, 0, len(comps))
 	for _, c := range comps {
@@ -600,20 +580,11 @@ func (m *Model) Detect(img *imgproc.Gray, lines *lad.Result) []Detection {
 // pathological picture cannot run past its deadline by more than one
 // proposal pass (itself bounded by Config.MaxProposals).
 func (m *Model) DetectCtx(ctx context.Context, img *imgproc.Gray, lines *lad.Result) ([]Detection, error) {
-	return m.DetectCtxW(ctx, img, lines, m.Cfg.Workers)
-}
-
-// DetectCtxW is DetectCtx with the intra-picture component labelling tiled
-// over workers goroutines (0 or 1 sequential, < 0 every core). Detections
-// are bit-identical for any worker count.
-func (m *Model) DetectCtxW(ctx context.Context, img *imgproc.Gray, lines *lad.Result, workers int) ([]Detection, error) {
 	bw := lines.BW
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg := m.Cfg
-	cfg.Workers = workers
-	props := Propose(bw, lines, cfg)
+	props := Propose(bw, lines, m.Cfg)
 	sc := m.getScratch()
 	defer m.scratch.Put(sc)
 	var dets []Detection
@@ -632,6 +603,14 @@ func (m *Model) DetectCtxW(ctx context.Context, img *imgproc.Gray, lines *lad.Re
 	}
 	SortDetections(dets)
 	return dets, nil
+}
+
+// DetectCtxW is DetectCtx; workers is ignored. tdbench/traced.go still
+// calls it.
+//
+// Deprecated: the kernels run on the calling goroutine. Use DetectCtx.
+func (m *Model) DetectCtxW(ctx context.Context, img *imgproc.Gray, lines *lad.Result, workers int) ([]Detection, error) {
+	return m.DetectCtx(ctx, img, lines)
 }
 
 // SortDetections orders detections top-to-bottom then left-to-right, the
