@@ -218,7 +218,7 @@ func runVerify(ctx context.Context, p *spo.SPO, vcdPath, delaysPath, synthOut, t
 		log.Fatal(err)
 	}
 	defer f.Close()
-	out, err := core.Verify(ctx, mspec, bufio.NewReader(f), printVerdict, nil)
+	out, err := core.VerifyStream(ctx, mspec, bufio.NewReader(f), printVerdict, nil)
 	if err != nil {
 		log.Fatalf("verify: %v", err)
 	}

@@ -47,7 +47,19 @@ func setup(t *testing.T) *core.Pipeline {
 // genSource returns a fresh n-item synthetic source; generation happens
 // lazily on executor workers.
 func genSource(n int) batch.Source {
-	return batch.Gen(tdgen.NewSeeded(tdgen.DefaultConfig(tdgen.G1), 41), n)
+	g := tdgen.NewSeeded(tdgen.DefaultConfig(tdgen.G1), 41)
+	return batch.Func(n, func(i int) batch.Item {
+		return batch.Item{
+			Name: fmt.Sprintf("gen-%05d", i),
+			Load: func() (*imgproc.Gray, error) {
+				s, err := g.GenerateAt(i)
+				if err != nil {
+					return nil, err
+				}
+				return s.Image, nil
+			},
+		}
+	})
 }
 
 // collect runs the executor and gathers results in emission order.
@@ -426,24 +438,6 @@ func (s *flakySource) Next() (batch.Item, error) {
 		Name:  fmt.Sprintf("flaky-%d", s.n),
 		Image: imgproc.NewGray(8, 8),
 	}, nil
-}
-
-// TestManifestSource exercises the manifest parser end to end.
-func TestManifestSource(t *testing.T) {
-	pipe := setup(t)
-	dir := writeCorpus(t, 3)
-	manifest := "# corpus\nimg-000.png\n\nimg-002.png\n"
-	src, err := batch.Manifest(strings.NewReader(manifest), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, stats := collect(t, pipe, src, batch.Options{Workers: 2})
-	if stats.Items != 2 || stats.Errors != 0 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if out[0].Name != "img-000" || out[1].Name != "img-002" {
-		t.Errorf("names = %s, %s", out[0].Name, out[1].Name)
-	}
 }
 
 // TestSafeName pins the item-name guard behind every path the executor's

@@ -1,7 +1,6 @@
 package batch
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -11,7 +10,6 @@ import (
 	"strings"
 
 	"tdmagic/internal/imgproc"
-	"tdmagic/internal/tdgen"
 )
 
 // Item is one unit of work flowing through the executor. Exactly one of
@@ -138,47 +136,4 @@ func Paths(paths []string) Source {
 		}
 	}
 	return Items(items)
-}
-
-// Manifest reads newline-separated picture paths from r (blank lines and
-// #-comments skipped), resolving relative paths against base.
-func Manifest(r io.Reader, base string) (Source, error) {
-	var paths []string
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !filepath.IsAbs(line) && base != "" {
-			line = filepath.Join(base, line)
-		}
-		paths = append(paths, line)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("batch: read manifest: %w", err)
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("batch: empty manifest")
-	}
-	return Paths(paths), nil
-}
-
-// Gen streams n synthetic diagrams from a seeded tdgen generator. Each
-// picture is synthesised on an executor worker when its turn comes and
-// released after translation, so corpus size never enters resident
-// memory — this is the 15k-image-corpus source.
-func Gen(g *tdgen.Generator, n int) Source {
-	return Func(n, func(i int) Item {
-		return Item{
-			Name: fmt.Sprintf("gen-%05d", i),
-			Load: func() (*imgproc.Gray, error) {
-				s, err := g.GenerateAt(i)
-				if err != nil {
-					return nil, err
-				}
-				return s.Image, nil
-			},
-		}
-	})
 }

@@ -72,37 +72,6 @@ func TestTranslateEndToEnd(t *testing.T) {
 	}
 }
 
-func TestTranslateWithOracleEdges(t *testing.T) {
-	pipe, val := trainSmall(t)
-	ok := 0
-	for _, s := range val {
-		got, _, err := pipe.TranslateWithEdges(s.Image, OracleEdges(s))
-		if err != nil {
-			continue
-		}
-		if got.TemplateEqual(s.Truth) {
-			ok++
-		}
-	}
-	if ok < 5 {
-		t.Errorf("oracle template-level success %d/6", ok)
-	}
-}
-
-func TestOracleEdges(t *testing.T) {
-	_, val := trainSmall(t)
-	s := val[0]
-	dets := OracleEdges(s)
-	if len(dets) != len(s.Edges) {
-		t.Fatalf("oracle edges %d != %d", len(dets), len(s.Edges))
-	}
-	for i, d := range dets {
-		if d.Box != s.Edges[i].Box || d.Type != s.Edges[i].Type || d.Score != 1 {
-			t.Error("oracle edge mismatch")
-		}
-	}
-}
-
 func TestSaveLoadRoundtrip(t *testing.T) {
 	pipe, val := trainSmall(t)
 	var buf bytes.Buffer

@@ -44,12 +44,6 @@ type VerifyOutcome struct {
 	// Result is the whole-run outcome, identical to monitor.Check over the
 	// materialized trace.
 	Result *monitor.Result
-	// Verdicts holds every constraint's verdict in constraint order (the
-	// same verdicts streamed to emit, re-ordered).
-	Verdicts []monitor.Verdict
-	// LTL and SVA are the compiled property texts for the specification.
-	LTL string
-	SVA string
 	// TraceBytes counts the VCD bytes consumed.
 	TraceBytes int64
 }
@@ -58,8 +52,8 @@ type VerifyOutcome struct {
 // property text — the compiled forms the verify endpoints return next to
 // the runtime verdicts.
 func CompileProperties(ctx context.Context, spec *monitor.Spec) (ltlText, svaText string, err error) {
-	sp := obs.StartSpan(ctx, "verify.compile")
-	defer sp.End()
+	l := obs.Begin(ctx, "verify.compile", nil)
+	defer l.End()
 	if ltlText, err = ltl.Formula(spec.SPO, spec.Delays); err != nil {
 		return "", "", err
 	}
@@ -69,34 +63,13 @@ func CompileProperties(ctx context.Context, spec *monitor.Spec) (ltlText, svaTex
 	return ltlText, svaText, nil
 }
 
-// Verify compiles the specification's property texts and streams the VCD
-// document through the incremental monitor. emit, if non-nil, receives
-// each constraint verdict as soon as it is final — before the dump has
+// VerifyStream streams the VCD document through the incremental monitor
+// under the context's deadline. emit, if non-nil, receives each
+// constraint verdict as soon as it is final — before the dump has
 // finished parsing when the endpoints resolve early. The context is
-// checked between decode events, so deadlines cut long dumps off. m may
-// be nil.
-func Verify(ctx context.Context, spec *monitor.Spec, dump io.Reader, emit func(monitor.Verdict), m *VerifyMetrics) (*VerifyOutcome, error) {
-	sp := obs.StartSpan(ctx, "verify")
-	defer sp.End()
-	ctx = obs.ContextWithSpan(ctx, sp)
-	ltlText, svaText, err := CompileProperties(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	out, err := VerifyStream(ctx, spec, dump, emit, m)
-	if err != nil {
-		return nil, err
-	}
-	out.LTL, out.SVA = ltlText, svaText
-	return out, nil
-}
-
-// VerifyStream runs only the parse+check stage of Verify: the dump streams
-// through the incremental monitor under the context's deadline. The
-// returned outcome has empty LTL/SVA — callers that already compiled the
-// properties (to write a response header before streaming verdicts) use
-// this entry point. The stage is the "monitor.verify_stream" layer: one
-// clock reading for its span and for m's latency histogram.
+// checked between decode events, so deadlines cut long dumps off. The
+// stage is the "monitor.verify_stream" layer: one clock reading for its
+// span and for m's latency histogram. m may be nil.
 func VerifyStream(ctx context.Context, spec *monitor.Spec, dump io.Reader, emit func(monitor.Verdict), m *VerifyMetrics) (*VerifyOutcome, error) {
 	var h *metrics.Histogram
 	if m != nil {
@@ -126,9 +99,8 @@ func VerifyStream(ctx context.Context, spec *monitor.Spec, dump io.Reader, emit 
 	l.Int("trace_bytes", out.TraceBytes).
 		Int("resident", int64(checker.MaxResident())).
 		Int("violations", int64(len(out.Result.Violations)))
-	out.Verdicts = monitor.ResultVerdicts(spec, out.Result)
 	if m != nil {
-		for _, v := range out.Verdicts {
+		for _, v := range monitor.ResultVerdicts(spec, out.Result) {
 			if v.Pass {
 				m.VerdictPass.Inc()
 			} else {

@@ -137,29 +137,6 @@ func Load(dir, name string) (*Sample, error) {
 	}, nil
 }
 
-// Split partitions samples into train and validation sets, taking every
-// k-th sample (k = len/nVal) for validation until nVal is reached.
-func Split(samples []*Sample, nVal int) (train, val []*Sample) {
-	if nVal <= 0 || len(samples) == 0 {
-		return samples, nil
-	}
-	if nVal >= len(samples) {
-		return nil, samples
-	}
-	stride := len(samples) / nVal
-	if stride < 1 {
-		stride = 1
-	}
-	for i, s := range samples {
-		if len(val) < nVal && i%stride == stride-1 {
-			val = append(val, s)
-		} else {
-			train = append(train, s)
-		}
-	}
-	return train, val
-}
-
 // CountEdgeTypes tallies ground-truth edge boxes by type across samples.
 func CountEdgeTypes(samples []*Sample) map[spo.EdgeType]int {
 	counts := make(map[spo.EdgeType]int)

@@ -81,30 +81,6 @@ func TestLoadMissing(t *testing.T) {
 	}
 }
 
-func TestSplit(t *testing.T) {
-	samples := make([]*Sample, 10)
-	for i := range samples {
-		samples[i] = mkSample("s")
-	}
-	train, val := Split(samples, 2)
-	if len(val) != 2 || len(train) != 8 {
-		t.Errorf("split = %d/%d", len(train), len(val))
-	}
-	train, val = Split(samples, 0)
-	if len(val) != 0 || len(train) != 10 {
-		t.Error("zero-val split wrong")
-	}
-	train, val = Split(samples, 20)
-	if len(train) != 0 || len(val) != 10 {
-		t.Error("oversized val split wrong")
-	}
-	train, val = Split(nil, 3)
-	if train != nil && len(train) != 0 {
-		t.Error("empty split wrong")
-	}
-	_ = val
-}
-
 func TestCountEdgeTypes(t *testing.T) {
 	s := mkSample("a")
 	s.Edges = append(s.Edges, EdgeBox{Type: spo.FallRamp}, EdgeBox{Type: spo.RiseStep})

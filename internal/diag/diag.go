@@ -103,14 +103,3 @@ func New(stage string, sev Severity, format string, args ...any) Diagnostic {
 func At(stage string, sev Severity, loc geom.Rect, format string, args ...any) Diagnostic {
 	return Diagnostic{Stage: stage, Severity: sev, Message: fmt.Sprintf(format, args...), Location: loc, HasLocation: true}
 }
-
-// Worst returns the highest severity present, or Info for an empty slice.
-func Worst(ds []Diagnostic) Severity {
-	worst := Info
-	for _, d := range ds {
-		if d.Severity > worst {
-			worst = d.Severity
-		}
-	}
-	return worst
-}

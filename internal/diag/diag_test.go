@@ -41,17 +41,3 @@ func TestConstructors(t *testing.T) {
 		t.Errorf("At produced %+v", a)
 	}
 }
-
-func TestWorst(t *testing.T) {
-	if Worst(nil) != Info {
-		t.Error("Worst(nil) != Info")
-	}
-	ds := []Diagnostic{
-		New(StageLAD, Info, "a"),
-		New(StageSEI, Error, "b"),
-		New(StageOCR, Warning, "c"),
-	}
-	if Worst(ds) != Error {
-		t.Errorf("Worst = %v, want Error", Worst(ds))
-	}
-}

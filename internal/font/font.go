@@ -34,14 +34,6 @@ func Glyph(ch rune) ([GlyphW]byte, bool) {
 	return glyphs[ch-32], true
 }
 
-// Supported reports whether ch has a real glyph (not the '?' fallback).
-func Supported(ch rune) bool {
-	if ch == 'µ' {
-		return true
-	}
-	return ch >= 32 && ch <= 126
-}
-
 // SetFunc receives ink pixels during rendering.
 type SetFunc func(x, y int)
 
@@ -99,14 +91,6 @@ func StringWidth(s string, scale int) int {
 		return 0
 	}
 	return n*AdvanceW*scale - scale // trailing spacing column removed
-}
-
-// StringHeight returns the pixel height of a plain string at scale.
-func StringHeight(scale int) int {
-	if scale < 1 {
-		scale = 1
-	}
-	return GlyphH * scale
 }
 
 // Span is one run of a rich string: consecutive characters at the same

@@ -34,11 +34,6 @@ type Rect struct {
 	X0, Y0, X1, Y1 int
 }
 
-// RectFromPts returns the smallest Rect containing both p and q.
-func RectFromPts(p, q Pt) Rect {
-	return Rect{min(p.X, q.X), min(p.Y, q.Y), max(p.X, q.X), max(p.Y, q.Y)}
-}
-
 // Empty reports whether r contains no points.
 func (r Rect) Empty() bool { return r.X1 < r.X0 || r.Y1 < r.Y0 }
 
@@ -60,9 +55,6 @@ func (r Rect) H() int {
 
 // Area returns the number of pixels covered by r.
 func (r Rect) Area() int { return r.W() * r.H() }
-
-// Center returns the integer centre of r (rounded towards the origin corner).
-func (r Rect) Center() Pt { return Pt{(r.X0 + r.X1) / 2, (r.Y0 + r.Y1) / 2} }
 
 // CenterX returns the x coordinate of the centre of r.
 func (r Rect) CenterX() int { return (r.X0 + r.X1) / 2 }
@@ -173,17 +165,6 @@ func Abs(x int) int {
 
 // Clamp limits v to the range [lo, hi].
 func Clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// ClampF limits v to the range [lo, hi].
-func ClampF(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo
 	}

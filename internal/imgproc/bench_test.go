@@ -51,28 +51,11 @@ func benchGray(w, h int) *Gray { return benchBinary(w, h).ToGray() }
 func BenchmarkBinaryOps(b *testing.B) {
 	const w, h = 900, 540
 	img := benchBinary(w, h)
-	other := benchBinary(w, h)
 	gray := benchGray(w, h)
 	b.Run("Count", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_ = img.Count()
-		}
-	})
-	b.Run("Or", func(b *testing.B) {
-		dst := img.Clone()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			dst.Or(other)
-		}
-	})
-	b.Run("AndNot", func(b *testing.B) {
-		dst := img.Clone()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			dst.AndNot(other)
 		}
 	})
 	b.Run("ClearRect", func(b *testing.B) {
@@ -82,13 +65,6 @@ func BenchmarkBinaryOps(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			dst.ClearRect(r)
-		}
-	})
-	b.Run("Crop", func(b *testing.B) {
-		r := geom.Rect{X0: 33, Y0: 17, X1: 700, Y1: 500}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = img.Crop(r)
 		}
 	})
 	b.Run("Threshold", func(b *testing.B) {
@@ -103,18 +79,6 @@ func BenchmarkBinaryOps(b *testing.B) {
 			_ = OtsuThreshold(gray)
 		}
 	})
-	b.Run("RowProfile", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = RowProfile(img)
-		}
-	})
-	b.Run("ColProfile", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = ColProfile(img)
-		}
-	})
 	b.Run("HRuns", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -127,10 +91,10 @@ func BenchmarkBinaryOps(b *testing.B) {
 			_ = VRuns(img, 24)
 		}
 	})
-	b.Run("Components", func(b *testing.B) {
+	b.Run("Regions", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = Components(img, 4)
+			_ = Regions(img, 4)
 		}
 	})
 }

@@ -8,13 +8,6 @@ import (
 	"tdmagic/internal/geom"
 )
 
-// Component is a maximal set of 8-connected ink pixels.
-type Component struct {
-	Box    geom.Rect // bounding box of the component
-	Area   int       // number of pixels in the component
-	Points []geom.Pt // member pixels, row-major order
-}
-
 // hrun is a maximal horizontal run of set pixels, the labelling unit of the
 // connected-component pass. Runs are stored in global row-major order
 // ((y, x0) ascending), so a run's slice index doubles as its discovery rank.
@@ -23,18 +16,20 @@ type hrun struct {
 	x0, x1 int32 // inclusive column range
 }
 
-// Region is a connected component reduced to its aggregate geometry. The
-// pipeline's consumers (contour extraction, edge proposals, text regions)
-// only need the bounding box and pixel count, so the labelling pass can skip
-// materialising the member-pixel list entirely.
+// Region is one connected component of set pixels (8-connectivity),
+// reduced to its aggregate geometry: the pipeline's consumers (contour
+// extraction, edge proposals, text regions) only need the bounding box and
+// the pixel count, so the labelling pass never materialises the member
+// pixels.
 type Region struct {
-	Box  geom.Rect
-	Area int
+	Box  geom.Rect // bounding box of the component
+	Area int       // number of pixels in the component
 }
 
-// Components labels b with 8-connectivity and returns every connected
+// Regions labels b with 8-connectivity and returns every connected
 // component of set pixels, sorted top-to-bottom then left-to-right by
-// bounding-box origin. Components with fewer than minArea pixels are dropped.
+// bounding-box origin. Components with fewer than minArea pixels are
+// dropped.
 //
 // The labelling unit is the horizontal run: runs are extracted with
 // trailing-zero word scans and vertically adjacent runs are unioned row
@@ -42,57 +37,6 @@ type Region struct {
 // component's first run in row-major order, so component discovery order —
 // and therefore the sorted output — is identical to the historical
 // per-pixel flood fill.
-func Components(b *Binary, minArea int) []Component {
-	ls := labelPool.Get().(*labelScratch)
-	defer labelPool.Put(ls)
-	runs, parent := ls.label(b)
-	if runs == nil {
-		return nil
-	}
-	accs := ls.accumulate(runs, parent)
-	compOf := parent // relabelled by accumulate
-
-	// Materialise the kept components, Points in row-major order.
-	kept := make([]int32, len(accs))
-	var comps []Component
-	for ci, a := range accs {
-		if int(a.area) >= minArea {
-			kept[ci] = int32(len(comps))
-			comps = append(comps, Component{
-				Box:    a.box,
-				Area:   int(a.area),
-				Points: make([]geom.Pt, 0, a.area),
-			})
-		} else {
-			kept[ci] = -1
-		}
-	}
-	for i := range runs {
-		ki := kept[compOf[i]]
-		if ki < 0 {
-			continue
-		}
-		pts := comps[ki].Points
-		y := int(runs[i].y)
-		for x := int(runs[i].x0); x <= int(runs[i].x1); x++ {
-			pts = append(pts, geom.Pt{X: x, Y: y})
-		}
-		comps[ki].Points = pts
-	}
-
-	sort.Slice(comps, func(i, j int) bool {
-		if comps[i].Box.Y0 != comps[j].Box.Y0 {
-			return comps[i].Box.Y0 < comps[j].Box.Y0
-		}
-		return comps[i].Box.X0 < comps[j].Box.X0
-	})
-	return comps
-}
-
-// Regions labels b like Components but returns only each component's
-// bounding box and area, skipping the per-pixel Points materialisation —
-// the fast path for callers that never look at individual member pixels.
-// Ordering and filtering are identical to Components.
 func Regions(b *Binary, minArea int) []Region {
 	ls := labelPool.Get().(*labelScratch)
 	defer labelPool.Put(ls)
@@ -119,7 +63,7 @@ func Regions(b *Binary, minArea int) []Region {
 // labelScratch is the working memory of one labelling pass: the run and
 // parent arrays, row offsets and per-component aggregates. labelPool
 // recycles it, so labelling a picture of a size the pool has seen
-// allocates only the Regions or Components returned.
+// allocates only the Regions returned.
 type labelScratch struct {
 	rowOff []int32
 	runs   []hrun
@@ -260,91 +204,6 @@ func union(parent []int32, a, b int32) {
 	} else {
 		parent[ra] = rb
 	}
-}
-
-// Mask returns a Binary of the component's bounding-box size with exactly the
-// component's pixels set (coordinates relative to Box).
-func (c Component) Mask() *Binary {
-	m := NewBinary(c.Box.W(), c.Box.H())
-	for _, p := range c.Points {
-		m.Set(p.X-c.Box.X0, p.Y-c.Box.Y0, true)
-	}
-	return m
-}
-
-// RowProfile returns, for each row of b, the number of set pixels.
-func RowProfile(b *Binary) []int {
-	prof := make([]int, b.H)
-	for y := 0; y < b.H; y++ {
-		n := 0
-		for _, w := range b.Row(y) {
-			n += bits.OnesCount64(w)
-		}
-		prof[y] = n
-	}
-	return prof
-}
-
-// ColProfile returns, for each column of b, the number of set pixels.
-//
-// Columns are counted 64 at a time without transposing: per word column a
-// bit-sliced adder (8 carry planes, one bit per column each) accumulates up
-// to 255 rows, and the planes are unpacked into the profile per chunk. The
-// cost is a handful of word operations per row instead of one popcount-loop
-// iteration per set pixel, which keeps dense images (solid plateaus, filled
-// glyphs) as cheap as sparse ones.
-func ColProfile(b *Binary) []int {
-	prof := make([]int, b.W)
-	for wi := 0; wi < b.Stride; wi++ {
-		base := wi << 6
-		width := 64
-		if base+width > b.W {
-			width = b.W - base
-		}
-		var c0, c1, c2, c3, c4, c5, c6, c7 uint64
-		rows := 0
-		flush := func() {
-			for l := 0; l < width; l++ {
-				prof[base+l] += int(c0>>l&1) | int(c1>>l&1)<<1 | int(c2>>l&1)<<2 |
-					int(c3>>l&1)<<3 | int(c4>>l&1)<<4 | int(c5>>l&1)<<5 |
-					int(c6>>l&1)<<6 | int(c7>>l&1)<<7
-			}
-			c0, c1, c2, c3, c4, c5, c6, c7 = 0, 0, 0, 0, 0, 0, 0, 0
-			rows = 0
-		}
-		for y := 0; y < b.H; y++ {
-			// Ripple-carry add of one bit per column; the carry chain
-			// almost always dies after one or two planes.
-			c := b.Words[y*b.Stride+wi]
-			c, c0 = c&c0, c^c0
-			if c != 0 {
-				c, c1 = c&c1, c^c1
-				if c != 0 {
-					c, c2 = c&c2, c^c2
-					if c != 0 {
-						c, c3 = c&c3, c^c3
-						if c != 0 {
-							c, c4 = c&c4, c^c4
-							if c != 0 {
-								c, c5 = c&c5, c^c5
-								if c != 0 {
-									c, c6 = c&c6, c^c6
-									c7 ^= c // rows < 256: no carry out
-								}
-							}
-						}
-					}
-				}
-			}
-			if rows++; rows == 255 {
-				flush()
-			}
-		}
-		if rows > 0 {
-			flush()
-		}
-	}
-	return prof
 }
 
 // HRuns returns every maximal horizontal run of set pixels in b that is at

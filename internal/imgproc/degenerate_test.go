@@ -61,7 +61,7 @@ func TestComponentsDegenerate(t *testing.T) {
 	for name, img := range degenerateImages() {
 		t.Run(name, func(t *testing.T) {
 			bw := Threshold(img, 128)
-			_ = Components(bw, 1)
+			_ = Regions(bw, 1)
 		})
 	}
 }

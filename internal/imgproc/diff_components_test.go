@@ -4,7 +4,6 @@ import (
 	"image"
 	"image/color"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -15,36 +14,25 @@ import (
 // banked Otsu histogram and the SWAR threshold against their obvious
 // per-pixel references, on random and adversarial images.
 
-// refComponents is the per-pixel BFS reference for 8-connected component
-// labelling, returning each component's points sorted row-major.
-func refComponents(s *shadowBin, minArea int) []Component {
+// refRegions is the per-pixel BFS reference for 8-connected component
+// labelling, ordered by regionLess.
+func refRegions(s *shadowBin, minArea int) []Region {
 	visited := make([]bool, len(s.pix))
-	var comps []Component
+	var regs []Region
 	for start := range s.pix {
 		if !s.pix[start] || visited[start] {
 			continue
 		}
 		queue := []int{start}
 		visited[start] = true
-		var pts []geom.Pt
 		box := geom.Rect{X0: s.w, Y0: s.h, X1: -1, Y1: -1}
+		area := 0
 		for len(queue) > 0 {
 			i := queue[0]
 			queue = queue[1:]
 			x, y := i%s.w, i/s.w
-			pts = append(pts, geom.Pt{X: x, Y: y})
-			if x < box.X0 {
-				box.X0 = x
-			}
-			if x > box.X1 {
-				box.X1 = x
-			}
-			if y < box.Y0 {
-				box.Y0 = y
-			}
-			if y > box.Y1 {
-				box.Y1 = y
-			}
+			area++
+			box = geom.Rect{X0: min(box.X0, x), Y0: min(box.Y0, y), X1: max(box.X1, x), Y1: max(box.Y1, y)}
 			for dy := -1; dy <= 1; dy++ {
 				for dx := -1; dx <= 1; dx++ {
 					nx, ny := x+dx, y+dy
@@ -59,56 +47,45 @@ func refComponents(s *shadowBin, minArea int) []Component {
 				}
 			}
 		}
-		if len(pts) < minArea {
-			continue
+		if area >= minArea {
+			regs = append(regs, Region{Box: box, Area: area})
 		}
-		sort.Slice(pts, func(a, b int) bool {
-			if pts[a].Y != pts[b].Y {
-				return pts[a].Y < pts[b].Y
-			}
-			return pts[a].X < pts[b].X
-		})
-		comps = append(comps, Component{Box: box, Area: len(pts), Points: pts})
 	}
-	return comps
+	sort.Slice(regs, func(i, j int) bool { return regionLess(regs[i], regs[j]) })
+	return regs
 }
 
-// canonicalize orders components by a total key so two correct labellings
-// compare equal even where the production (Y0, X0) sort leaves ties.
-func canonicalize(comps []Component) {
-	sort.Slice(comps, func(i, j int) bool {
-		a, b := comps[i], comps[j]
-		if a.Box != b.Box {
-			if a.Box.Y0 != b.Box.Y0 {
-				return a.Box.Y0 < b.Box.Y0
-			}
-			if a.Box.X0 != b.Box.X0 {
-				return a.Box.X0 < b.Box.X0
-			}
-			if a.Box.Y1 != b.Box.Y1 {
-				return a.Box.Y1 < b.Box.Y1
-			}
-			return a.Box.X1 < b.Box.X1
+// regionLess is a total order on regions that refines Regions' (Y0, X0)
+// order, so two correct labellings compare equal where that order ties.
+func regionLess(a, b Region) bool {
+	ka := [5]int{a.Box.Y0, a.Box.X0, a.Box.Y1, a.Box.X1, a.Area}
+	kb := [5]int{b.Box.Y0, b.Box.X0, b.Box.Y1, b.Box.X1, b.Area}
+	for i := range ka {
+		if ka[i] != kb[i] {
+			return ka[i] < kb[i]
 		}
-		return a.Points[0].Y*1<<20+a.Points[0].X < b.Points[0].Y*1<<20+b.Points[0].X
-	})
+	}
+	return false
 }
 
-func checkComponents(t *testing.T, name string, got, want []Component) {
+// checkRegions requires got to be in Regions' (Y0, X0) order and, with
+// its ties broken by regionLess, to hold the reference's boxes and areas.
+func checkRegions(t *testing.T, name string, got, want []Region) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: %d components, want %d", name, len(got), len(want))
+		t.Fatalf("%s: %d regions, want %d", name, len(got), len(want))
 	}
-	canonicalize(got)
-	canonicalize(want)
-	for i := range got {
-		if got[i].Box != want[i].Box || got[i].Area != want[i].Area {
-			t.Fatalf("%s: component %d box=%+v area=%d, want box=%+v area=%d",
-				name, i, got[i].Box, got[i].Area, want[i].Box, want[i].Area)
+	for i := 1; i < len(got); i++ {
+		a, b := got[i-1].Box, got[i].Box
+		if a.Y0 > b.Y0 || (a.Y0 == b.Y0 && a.X0 > b.X0) {
+			t.Fatalf("%s: region %d box=%+v sorts after region %d box=%+v", name, i-1, a, i, b)
 		}
-		if !reflect.DeepEqual(got[i].Points, want[i].Points) {
-			t.Fatalf("%s: component %d points differ (%d vs %d pts)",
-				name, i, len(got[i].Points), len(want[i].Points))
+	}
+	got = append([]Region(nil), got...)
+	sort.SliceStable(got, func(i, j int) bool { return regionLess(got[i], got[j]) })
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: region %d = %+v, want %+v", name, i, got[i], want[i])
 		}
 	}
 }
@@ -119,11 +96,7 @@ func TestDiffComponents(t *testing.T) {
 		for _, density := range []int{1, 2, 3} {
 			b, s := randomPair(rng, w, 19, density)
 			for _, minArea := range []int{1, 2, 8} {
-				want := refComponents(s, minArea)
-				checkComponents(t, "Components", Components(b, minArea), want)
-				if regs := Regions(b, minArea); len(regs) != len(want) {
-					t.Fatalf("Regions: %d regions, want %d", len(regs), len(want))
-				}
+				checkRegions(t, "Regions", Regions(b, minArea), refRegions(s, minArea))
 			}
 		}
 	}
@@ -184,20 +157,7 @@ func TestDiffComponentsAdversarial(t *testing.T) {
 	for name, b := range adversarialImages() {
 		s := toShadow(b)
 		for _, minArea := range []int{1, 3} {
-			checkComponents(t, name, Components(b, minArea), refComponents(s, minArea))
-		}
-		// ColProfile on the same shapes, against the per-pixel count.
-		cp := ColProfile(b)
-		for x := 0; x < b.W; x++ {
-			n := 0
-			for y := 0; y < b.H; y++ {
-				if s.at(x, y) {
-					n++
-				}
-			}
-			if cp[x] != n {
-				t.Fatalf("%s: ColProfile[%d]=%d want %d", name, x, cp[x], n)
-			}
+			checkRegions(t, name, Regions(b, minArea), refRegions(s, minArea))
 		}
 	}
 }

@@ -84,29 +84,6 @@ func TestDiffSetAtCount(t *testing.T) {
 	}
 }
 
-func TestDiffOrAndNot(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, w := range testWidths {
-		a, sa := randomPair(rng, w, 13, 2)
-		b, sb := randomPair(rng, w, 13, 2)
-		or := a.Clone()
-		or.Or(b)
-		an := a.Clone()
-		an.AndNot(b)
-		for i := range sa.pix {
-			orRef := sa.pix[i] || sb.pix[i]
-			anRef := sa.pix[i] && !sb.pix[i]
-			y, x := i/w, i%w
-			if or.At(x, y) != orRef {
-				t.Fatalf("w=%d Or(%d,%d)=%v want %v", w, x, y, or.At(x, y), orRef)
-			}
-			if an.At(x, y) != anRef {
-				t.Fatalf("w=%d AndNot(%d,%d)=%v want %v", w, x, y, an.At(x, y), anRef)
-			}
-		}
-	}
-}
-
 func TestDiffClearRect(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, w := range testWidths {
@@ -125,28 +102,6 @@ func TestDiffClearRect(t *testing.T) {
 				}
 			}
 			checkAgainstShadow(t, b, s)
-		}
-	}
-}
-
-func TestDiffCrop(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, w := range testWidths {
-		b, s := randomPair(rng, w, 21, 2)
-		for trial := 0; trial < 10; trial++ {
-			x0, y0 := rng.Intn(w), rng.Intn(21)
-			x1, y1 := x0+rng.Intn(w-x0), y0+rng.Intn(21-y0)
-			c := b.Crop(geom.Rect{X0: x0, Y0: y0, X1: x1, Y1: y1})
-			for y := 0; y <= y1-y0; y++ {
-				for x := 0; x <= x1-x0; x++ {
-					if c.At(x, y) != s.at(x0+x, y0+y) {
-						t.Fatalf("w=%d crop(%d,%d,%d,%d) at (%d,%d) wrong", w, x0, y0, x1, y1, x, y)
-					}
-				}
-			}
-			if cnt := c.Count(); cnt < 0 || cnt > (x1-x0+1)*(y1-y0+1) {
-				t.Fatalf("crop count %d out of range (padding bits dirty)", cnt)
-			}
 		}
 	}
 }
@@ -185,38 +140,6 @@ func TestDiffThresholdToGray(t *testing.T) {
 	}
 }
 
-func TestDiffProfiles(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, w := range testWidths {
-		b, s := randomPair(rng, w, 11, 2)
-		rp := RowProfile(b)
-		cp := ColProfile(b)
-		for y := 0; y < s.h; y++ {
-			want := 0
-			for x := 0; x < s.w; x++ {
-				if s.at(x, y) {
-					want++
-				}
-			}
-			if rp[y] != want {
-				t.Fatalf("w=%d RowProfile[%d]=%d want %d", w, y, rp[y], want)
-			}
-		}
-		for x := 0; x < s.w; x++ {
-			want := 0
-			for y := 0; y < s.h; y++ {
-				if s.at(x, y) {
-					want++
-				}
-			}
-			if cp[x] != want {
-				t.Fatalf("w=%d ColProfile[%d]=%d want %d", w, x, cp[x], want)
-			}
-		}
-	}
-}
-
-// refHRuns is the per-pixel reference for HRuns.
 func refHRuns(s *shadowBin, minLen int) []geom.HSeg {
 	var runs []geom.HSeg
 	for y := 0; y < s.h; y++ {
@@ -327,15 +250,20 @@ func TestDiffRowAccessors(t *testing.T) {
 				X1: rng.Intn(w+8) - 4, Y1: rng.Intn(13) - 2,
 			}
 			want := 0
+			ink := geom.Rect{X0: w, Y0: b.H, X1: -1, Y1: -1}
 			for y := r.Y0; y <= r.Y1; y++ {
 				for x := r.X0; x <= r.X1; x++ {
 					if s.at(x, y) {
 						want++
+						ink = geom.Rect{X0: min(ink.X0, x), Y0: min(ink.Y0, y), X1: max(ink.X1, x), Y1: max(ink.Y1, y)}
 					}
 				}
 			}
 			if got := b.CountRect(r); got != want {
 				t.Fatalf("w=%d CountRect(%+v)=%d want %d", w, r, got, want)
+			}
+			if got, ok := b.InkBox(r); ok != (want > 0) || (ok && got != ink) {
+				t.Fatalf("w=%d InkBox(%+v)=(%+v,%v) want (%+v,%v)", w, r, got, ok, ink, want > 0)
 			}
 		}
 	}

@@ -293,69 +293,6 @@ func (b *Binary) Count() int {
 	return n
 }
 
-// Crop returns a copy of the region r of b (clipped to the image).
-func (b *Binary) Crop(r geom.Rect) *Binary {
-	r = r.Clip(b.Bounds())
-	if r.Empty() {
-		return NewBinary(0, 0)
-	}
-	out := NewBinary(r.W(), r.H())
-	off := uint(r.X0) & 63
-	w0 := r.X0 >> 6
-	if off == 0 {
-		// Word-aligned crop: each output row is a straight copy of a
-		// source row slice.
-		n := out.Stride
-		if w0+n > b.Stride {
-			n = b.Stride - w0
-		}
-		for y := 0; y < out.H; y++ {
-			copy(out.Words[y*out.Stride:y*out.Stride+n], b.Words[(r.Y0+y)*b.Stride+w0:])
-		}
-		out.maskPadding()
-		return out
-	}
-	// Unaligned: shift-merge adjacent source words. The bounds regimes are
-	// hoisted out of the word loop; trailing output words past the source
-	// row stay at their freshly allocated zero.
-	full := b.Stride - w0 - 1 // j with both src[w0+j] and src[w0+j+1] in range
-	if full > out.Stride {
-		full = out.Stride
-	}
-	for y := 0; y < out.H; y++ {
-		src := b.Words[(r.Y0+y)*b.Stride : (r.Y0+y+1)*b.Stride]
-		dst := out.Words[y*out.Stride : (y+1)*out.Stride]
-		for j := 0; j < full; j++ {
-			dst[j] = src[w0+j]>>off | src[w0+j+1]<<(64-off)
-		}
-		if full < out.Stride {
-			dst[full] = src[b.Stride-1] >> off
-		}
-	}
-	out.maskPadding()
-	return out
-}
-
-// Or sets every pixel of b that is set in o. Both images must have equal size.
-func (b *Binary) Or(o *Binary) {
-	if b.W != o.W || b.H != o.H {
-		panic("imgproc: Or on mismatched sizes")
-	}
-	for i, w := range o.Words {
-		b.Words[i] |= w
-	}
-}
-
-// AndNot clears every pixel of b that is set in o.
-func (b *Binary) AndNot(o *Binary) {
-	if b.W != o.W || b.H != o.H {
-		panic("imgproc: AndNot on mismatched sizes")
-	}
-	for i, w := range o.Words {
-		b.Words[i] &^= w
-	}
-}
-
 // ClearRect clears every pixel inside r.
 func (b *Binary) ClearRect(r geom.Rect) {
 	r = r.Clip(b.Bounds())

@@ -124,39 +124,6 @@ func TestBinaryBasics(t *testing.T) {
 	}
 }
 
-func TestBinaryOrAndNotClear(t *testing.T) {
-	a := NewBinary(3, 3)
-	b := NewBinary(3, 3)
-	a.Set(0, 0, true)
-	b.Set(1, 1, true)
-	b.Set(0, 0, true)
-	a.Or(b)
-	if !a.At(1, 1) || !a.At(0, 0) {
-		t.Error("Or failed")
-	}
-	a.AndNot(b)
-	if a.At(0, 0) || a.At(1, 1) {
-		t.Error("AndNot failed")
-	}
-	a.Set(2, 2, true)
-	a.Set(0, 2, true)
-	a.ClearRect(geom.Rect{X0: 2, Y0: 2, X1: 5, Y1: 5})
-	if a.At(2, 2) || !a.At(0, 2) {
-		t.Error("ClearRect failed")
-	}
-}
-
-func TestBinaryMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on size mismatch")
-		}
-	}()
-	a := NewBinary(2, 2)
-	b := NewBinary(3, 3)
-	a.Or(b)
-}
-
 func TestThreshold(t *testing.T) {
 	g := NewGray(3, 1)
 	g.Set(0, 0, 0)   // ink
@@ -212,15 +179,6 @@ func TestBinaryToGrayRoundtrip(t *testing.T) {
 	}
 }
 
-func TestBinaryCrop(t *testing.T) {
-	b := NewBinary(10, 10)
-	b.Set(4, 4, true)
-	c := b.Crop(geom.Rect{X0: 3, Y0: 3, X1: 5, Y1: 5})
-	if c.W != 3 || !c.At(1, 1) {
-		t.Error("binary crop wrong")
-	}
-}
-
 func TestComponentsSimple(t *testing.T) {
 	b := NewBinary(10, 10)
 	// Two blobs: one 2x2 at (1,1), one single pixel at (8,8).
@@ -229,7 +187,7 @@ func TestComponentsSimple(t *testing.T) {
 	b.Set(1, 2, true)
 	b.Set(2, 2, true)
 	b.Set(8, 8, true)
-	comps := Components(b, 1)
+	comps := Regions(b, 1)
 	if len(comps) != 2 {
 		t.Fatalf("got %d components, want 2", len(comps))
 	}
@@ -240,7 +198,7 @@ func TestComponentsSimple(t *testing.T) {
 		t.Errorf("comp1 area = %d", comps[1].Area)
 	}
 	// minArea filter
-	comps = Components(b, 2)
+	comps = Regions(b, 2)
 	if len(comps) != 1 {
 		t.Errorf("minArea filter kept %d", len(comps))
 	}
@@ -251,7 +209,7 @@ func TestComponentsDiagonalConnectivity(t *testing.T) {
 	b.Set(0, 0, true)
 	b.Set(1, 1, true)
 	b.Set(2, 2, true)
-	comps := Components(b, 1)
+	comps := Regions(b, 1)
 	if len(comps) != 1 {
 		t.Fatalf("8-connectivity should join diagonal pixels, got %d comps", len(comps))
 	}
@@ -263,42 +221,9 @@ func TestComponentsDiagonalConnectivity(t *testing.T) {
 func TestComponentsLargeBlobNoStackOverflow(t *testing.T) {
 	b := NewBinary(300, 300)
 	b.Fill(true)
-	comps := Components(b, 1)
+	comps := Regions(b, 1)
 	if len(comps) != 1 || comps[0].Area != 300*300 {
 		t.Error("full-image component wrong")
-	}
-}
-
-func TestComponentMask(t *testing.T) {
-	b := NewBinary(10, 10)
-	b.Set(5, 5, true)
-	b.Set(6, 5, true)
-	b.Set(6, 6, true)
-	comps := Components(b, 1)
-	if len(comps) != 1 {
-		t.Fatal("want 1 component")
-	}
-	m := comps[0].Mask()
-	if m.W != 2 || m.H != 2 {
-		t.Fatalf("mask size %dx%d", m.W, m.H)
-	}
-	if !m.At(0, 0) || !m.At(1, 0) || !m.At(1, 1) || m.At(0, 1) {
-		t.Error("mask content wrong")
-	}
-}
-
-func TestProfiles(t *testing.T) {
-	b := NewBinary(4, 3)
-	b.Set(0, 0, true)
-	b.Set(1, 0, true)
-	b.Set(3, 2, true)
-	rp := RowProfile(b)
-	if rp[0] != 2 || rp[1] != 0 || rp[2] != 1 {
-		t.Errorf("RowProfile = %v", rp)
-	}
-	cp := ColProfile(b)
-	if cp[0] != 1 || cp[1] != 1 || cp[2] != 0 || cp[3] != 1 {
-		t.Errorf("ColProfile = %v", cp)
 	}
 }
 
@@ -346,37 +271,10 @@ func TestComponentsAreaProperty(t *testing.T) {
 			}
 		}
 		total := 0
-		for _, c := range Components(b, 1) {
+		for _, c := range Regions(b, 1) {
 			total += c.Area
 		}
 		return total == b.Count()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: row profile sums equal column profile sums equal Count.
-func TestProfileSumProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		b := NewBinary(17, 23)
-		s := seed
-		for y := 0; y < b.H; y++ {
-			for x := 0; x < b.W; x++ {
-				s = s*2862933555777941757 + 3037000493
-				if (s>>40)&1 == 1 {
-					b.Set(x, y, true)
-				}
-			}
-		}
-		sr, sc := 0, 0
-		for _, v := range RowProfile(b) {
-			sr += v
-		}
-		for _, v := range ColProfile(b) {
-			sc += v
-		}
-		return sr == b.Count() && sc == b.Count()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

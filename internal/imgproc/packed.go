@@ -125,6 +125,19 @@ func (b *Binary) RowSpan(y, x0, x1 int) (first, last int, ok bool) {
 	return 0, 0, false // unreachable: first >= 0 implies a non-empty word
 }
 
+// InkBox returns the bounding box of the set pixels inside r (clipped to
+// the image). ok is false when r contains no ink.
+func (b *Binary) InkBox(r geom.Rect) (box geom.Rect, ok bool) {
+	r = r.Clip(b.Bounds())
+	box = geom.Rect{X0: 0, Y0: 0, X1: -1, Y1: -1} // empty until a row has ink
+	for y := r.Y0; y <= r.Y1; y++ {
+		if first, last, inked := b.RowSpan(y, r.X0, r.X1); inked {
+			box = box.Union(geom.Rect{X0: first, Y0: y, X1: last, Y1: y})
+		}
+	}
+	return box, !box.Empty()
+}
+
 // CountRect returns the number of set pixels inside r (clipped to the
 // image).
 func (b *Binary) CountRect(r geom.Rect) int {

@@ -117,7 +117,11 @@ func hLineOp(b *imgproc.Binary, n int, and bool) *imgproc.Binary {
 	s := pw*64 - left // dst bit x reads padded smear bit x+s, s >= 1
 	ws, bs := s>>6, uint(s)&63
 	plen := stride + pw + 1 // one trailing zero word for uniform word-pair reads
-	buf := make([]uint64, plen)
+	// The padded row, taken as one scratch image a word wide so it
+	// recycles with the full-frame images.
+	scratch := imgproc.GetBinary(64, plen)
+	defer imgproc.PutBinary(scratch)
+	buf := scratch.Words
 	for y := 0; y < b.H; y++ {
 		for i := 0; i < pw; i++ {
 			buf[i] = 0

@@ -17,7 +17,6 @@
 package nn
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -424,21 +423,4 @@ func (n *Net) Accuracy(samples []Sample) float64 {
 		}
 	}
 	return float64(ok) / float64(len(samples))
-}
-
-// Save writes the network in gob format.
-func (n *Net) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(n)
-}
-
-// Load reads a network previously written by Save.
-func Load(r io.Reader) (*Net, error) {
-	var n Net
-	if err := gob.NewDecoder(r).Decode(&n); err != nil {
-		return nil, fmt.Errorf("nn: load: %w", err)
-	}
-	if len(n.Sizes) < 2 || len(n.Weights) != len(n.Sizes)-1 {
-		return nil, errors.New("nn: load: malformed network")
-	}
-	return &n, nil
 }

@@ -155,42 +155,6 @@ func TestAccuracyEmpty(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundtrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n := NewNet(rng, 3, 5, 2)
-	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{0.3, -0.2, 0.8}
-	a := n.Logits(x)
-	b := m.Logits(x)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("loaded net differs")
-		}
-	}
-}
-
-func TestLoadErrors(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("garbage"))); err == nil {
-		t.Error("garbage accepted")
-	}
-	// Structurally invalid: encode a Net with mismatched layers.
-	var buf bytes.Buffer
-	bad := &Net{Sizes: []int{2, 3}, Weights: nil, Biases: nil}
-	if err := bad.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&buf); err == nil {
-		t.Error("malformed net accepted")
-	}
-}
-
 func TestDeterministicTraining(t *testing.T) {
 	build := func() []float64 {
 		rng := rand.New(rand.NewSource(123))

@@ -108,15 +108,6 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 	}
 }
 
-// SlowThreshold reports the root-span duration that pins an entry
-// (0 on nil).
-func (r *Recorder) SlowThreshold() time.Duration {
-	if r == nil {
-		return 0
-	}
-	return r.slow
-}
-
 // estimate approximates the JSON-encoded size of an entry. It only has
 // to be consistent and roughly proportional — the byte cap is a memory
 // bound, not an accounting ledger.

@@ -19,14 +19,3 @@ const RequestIDKey = "request_id"
 func NewLogger(w io.Writer, level slog.Leveler) *slog.Logger {
 	return slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level}))
 }
-
-// WithRequestID returns l with the request-ID correlation attribute
-// attached, so every line logged through it can be joined against the
-// request's trace and response headers. Nil-safe: a nil logger stays
-// nil.
-func WithRequestID(l *slog.Logger, id string) *slog.Logger {
-	if l == nil {
-		return nil
-	}
-	return l.With(slog.String(RequestIDKey, id))
-}

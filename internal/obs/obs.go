@@ -6,11 +6,12 @@
 //
 //  1. Zero cost when disabled. Tracing is opt-in per translation; a
 //     request without a trace must not allocate or lock anything on the
-//     hot path. Every method is nil-safe — StartSpan on a context without
-//     a trace returns a nil *Span, and attribute/End calls on a nil span
-//     are no-ops — so the pipeline code is written unconditionally and
-//     the disabled path compiles down to a context lookup and a nil
-//     check. TestNilTraceZeroAlloc pins this with testing.AllocsPerRun.
+//     hot path. Every method is nil-safe — Begin on a context without
+//     a trace returns a Layer with a nil *Span, and attribute/End calls
+//     on a nil span are no-ops — so the pipeline code is written
+//     unconditionally and the disabled path compiles down to a context
+//     lookup and a nil check. TestNilTraceZeroAlloc pins this with
+//     testing.AllocsPerRun.
 //
 //  2. Deterministic identity. Span IDs are derived from the
 //     per-translation request ID plus the span name and its occurrence
@@ -235,8 +236,8 @@ func (s *Span) finish(d time.Duration) {
 type ctxKey struct{}
 type refKey struct{}
 
-// ContextWithTrace returns ctx carrying t, so the next StartSpan opens
-// a root span of t. A nil trace returns ctx unchanged.
+// ContextWithTrace returns ctx carrying t, so the next Begin opens a
+// root span of t. A nil trace returns ctx unchanged.
 func ContextWithTrace(ctx context.Context, t *Trace) context.Context {
 	if t == nil {
 		return ctx
@@ -252,13 +253,6 @@ func ContextWithSpan(ctx context.Context, s *Span) context.Context {
 		return ctx
 	}
 	return context.WithValue(ctx, ctxKey{}, s)
-}
-
-// StartSpan begins a span under whatever the context carries: a child
-// of the current span, a root span of the current trace, or nil when
-// the context carries neither (tracing disabled).
-func StartSpan(ctx context.Context, name string) *Span {
-	return Begin(ctx, name, nil).Span
 }
 
 // spanParent returns the trace the context carries (nil when tracing is

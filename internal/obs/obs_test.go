@@ -33,28 +33,26 @@ func TestNilSafety(t *testing.T) {
 	if ContextWithSpan(ctx, nil) != ctx {
 		t.Error("ContextWithSpan(nil) wrapped the context")
 	}
-	if StartSpan(ctx, "x") != nil {
-		t.Error("StartSpan without a trace returned a span")
+	if l := Begin(ctx, "x", nil); l.Span != nil {
+		t.Error("Begin without a trace returned a span")
 	}
 }
 
 // TestNilTraceZeroAlloc pins the "zero-alloc when disabled" contract:
 // the exact obs call sequence the Translate hot path performs — a
-// context-lookup StartSpan, attribute records, a conditional context
-// wrap and End — must not allocate when no trace is attached.
+// context-lookup Begin, attribute records, the layer's context wrap and
+// End — must not allocate when no trace is attached.
 func TestNilTraceZeroAlloc(t *testing.T) {
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
-		sp := StartSpan(ctx, "translate")
-		if sp != nil {
-			ctx = ContextWithSpan(ctx, sp)
-		}
-		sp.Int("width", 900).Int("diags", 0).Bool("error", false)
-		sp.Event("tick")
+		l := Begin(ctx, "translate", nil)
+		ctx = l.Context(ctx)
+		l.Int("width", 900).Int("diags", 0).Bool("error", false)
+		l.Event("tick")
 		if RequestIDFrom(ctx) != "" {
 			t.Fatal("request ID on a trace-free context")
 		}
-		sp.End()
+		l.End()
 	})
 	if allocs != 0 {
 		t.Errorf("disabled tracing allocated %.1f times per translation, want 0", allocs)
@@ -105,14 +103,14 @@ func TestDeterministicIDs(t *testing.T) {
 func TestContextThreading(t *testing.T) {
 	tr := NewTrace("ctx")
 	ctx := ContextWithTrace(context.Background(), tr)
-	root := StartSpan(ctx, "root")
+	root := Begin(ctx, "root", nil).Span
 	if root == nil || root.Parent != 0 {
-		t.Fatalf("StartSpan on trace context: got %+v, want root span", root)
+		t.Fatalf("Begin on trace context: got %+v, want root span", root)
 	}
 	ctx = ContextWithSpan(ctx, root)
-	child := StartSpan(ctx, "child")
+	child := Begin(ctx, "child", nil).Span
 	if child == nil || child.Parent != root.ID {
-		t.Fatalf("StartSpan on span context: got %+v, want child of %d", child, root.ID)
+		t.Fatalf("Begin on span context: got %+v, want child of %d", child, root.ID)
 	}
 	child.End()
 	root.End()
@@ -237,21 +235,5 @@ func TestNewRequestID(t *testing.T) {
 	}
 	if a == b {
 		t.Error("two request IDs collided")
-	}
-}
-
-func TestWithRequestID(t *testing.T) {
-	if WithRequestID(nil, "x") != nil {
-		t.Error("nil logger did not stay nil")
-	}
-	var buf bytes.Buffer
-	l := WithRequestID(NewLogger(&buf, nil), "abc123")
-	l.Info("hello")
-	var line map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &line); err != nil {
-		t.Fatalf("log line is not JSON: %v", err)
-	}
-	if line[RequestIDKey] != "abc123" {
-		t.Errorf("log line missing request ID: %v", line)
 	}
 }

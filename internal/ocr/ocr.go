@@ -77,8 +77,8 @@ func NewFontModel() *Model {
 	for _, ch := range charset {
 		b := imgproc.NewBinary(font.GlyphW*4, font.GlyphH*4)
 		font.DrawGlyph(func(x, y int) { b.Set(x, y, true) }, 0, 0, ch, 4)
-		box := inkBox(b, b.Bounds())
-		if box.Empty() {
+		box, ok := b.InkBox(b.Bounds())
+		if !ok {
 			continue
 		}
 		m.Templates[ch] = &Template{
@@ -88,18 +88,6 @@ func NewFontModel() *Model {
 		}
 	}
 	return m
-}
-
-// inkBox returns the tight bounding box of ink within r.
-func inkBox(bw *imgproc.Binary, r geom.Rect) geom.Rect {
-	r = r.Clip(bw.Bounds())
-	out := geom.Rect{X0: r.X1 + 1, Y0: r.Y1 + 1, X1: r.X0 - 1, Y1: r.Y0 - 1}
-	for y := r.Y0; y <= r.Y1; y++ {
-		if first, last, ok := bw.RowSpan(y, r.X0, r.X1); ok {
-			out = out.Union(geom.Rect{X0: first, Y0: y, X1: last, Y1: y})
-		}
-	}
-	return out
 }
 
 // sampleGrid resamples the ink of box into a gridW×gridH occupancy grid.
@@ -163,8 +151,7 @@ func segmentBoxes(bw *imgproc.Binary, box geom.Rect) []geom.Rect {
 			start = i
 		} else if !inked && start >= 0 {
 			sub := geom.Rect{X0: box.X0 + start, Y0: box.Y0, X1: box.X0 + i - 1, Y1: box.Y1}
-			tight := inkBox(bw, sub)
-			if !tight.Empty() {
+			if tight, ok := bw.InkBox(sub); ok {
 				boxes = append(boxes, tight)
 			}
 			start = -1

@@ -21,9 +21,6 @@ func NewSystem(dim int) *System {
 	return &System{Dim: dim, Names: make([]string, dim)}
 }
 
-// SetName assigns a diagnostic name to variable i.
-func (s *System) SetName(i int, name string) { s.Names[i] = name }
-
 // Name returns the diagnostic name of variable i (or "x<i>").
 func (s *System) Name(i int) string {
 	if i < len(s.Names) && s.Names[i] != "" {
@@ -66,9 +63,6 @@ func (s *System) AddBounds(i int, lo, hi float64) {
 func (s *System) AddDiffGE(i, j int, c float64) {
 	s.AddGE(map[int]float64{i: 1, j: -1}, c)
 }
-
-// NumConstraints returns the number of inequalities in the system.
-func (s *System) NumConstraints() int { return len(s.A) }
 
 // Feasible reports whether x satisfies every constraint within tol.
 func (s *System) Feasible(x []float64, tol float64) bool {

@@ -60,7 +60,7 @@ func TestAddLEOutOfRangePanics(t *testing.T) {
 
 func TestNames(t *testing.T) {
 	s := NewSystem(2)
-	s.SetName(0, "x11l")
+	s.Names[0] = "x11l"
 	if s.Name(0) != "x11l" || s.Name(1) != "x1" {
 		t.Error("names wrong")
 	}
@@ -256,12 +256,5 @@ func TestSamplerThinClamp(t *testing.T) {
 	x2 := sampler.Next()
 	if x1[0] == x2[0] && x1[1] == x2[1] {
 		t.Error("chain did not move with Thin=0")
-	}
-}
-
-func TestNumConstraints(t *testing.T) {
-	s := squareSystem(0, 1)
-	if s.NumConstraints() != 4 {
-		t.Errorf("NumConstraints = %d", s.NumConstraints())
 	}
 }

@@ -105,31 +105,6 @@ func (c *Canvas) dashedLine(p, q geom.Pt, thick, on, off int) {
 	}
 }
 
-// Polyline draws connected line segments through pts.
-func (c *Canvas) Polyline(pts []geom.Pt, thick int) {
-	for i := 1; i < len(pts); i++ {
-		c.Line(pts[i-1], pts[i], thick)
-	}
-}
-
-// RectOutline draws the border of r.
-func (c *Canvas) RectOutline(r geom.Rect, thick int) {
-	c.Line(geom.Pt{X: r.X0, Y: r.Y0}, geom.Pt{X: r.X1, Y: r.Y0}, thick)
-	c.Line(geom.Pt{X: r.X1, Y: r.Y0}, geom.Pt{X: r.X1, Y: r.Y1}, thick)
-	c.Line(geom.Pt{X: r.X1, Y: r.Y1}, geom.Pt{X: r.X0, Y: r.Y1}, thick)
-	c.Line(geom.Pt{X: r.X0, Y: r.Y1}, geom.Pt{X: r.X0, Y: r.Y0}, thick)
-}
-
-// FillRect inks every pixel of r.
-func (c *Canvas) FillRect(r geom.Rect) {
-	r = r.Clip(c.ink.Bounds())
-	for y := r.Y0; y <= r.Y1; y++ {
-		for x := r.X0; x <= r.X1; x++ {
-			c.SetPixel(x, y)
-		}
-	}
-}
-
 // ArrowHead draws a triangular arrow head at tip pointing in direction
 // (dirX, dirY) — one of the four axis directions. size is the head length in
 // pixels.

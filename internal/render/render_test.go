@@ -107,38 +107,6 @@ func TestDashedLine(t *testing.T) {
 	}
 }
 
-func TestPolyline(t *testing.T) {
-	c := NewCanvas(20, 20)
-	c.Polyline([]geom.Pt{{X: 0, Y: 10}, {X: 5, Y: 10}, {X: 8, Y: 3}, {X: 15, Y: 3}}, 1)
-	if !c.Ink().At(3, 10) || !c.Ink().At(12, 3) {
-		t.Error("polyline segments missing")
-	}
-	// single point and empty: no panic, no ink beyond nothing
-	c2 := NewCanvas(5, 5)
-	c2.Polyline(nil, 1)
-	c2.Polyline([]geom.Pt{{X: 2, Y: 2}}, 1)
-	if c2.Ink().Count() != 0 {
-		t.Error("degenerate polylines inked")
-	}
-}
-
-func TestRectOutlineAndFill(t *testing.T) {
-	c := NewCanvas(20, 20)
-	r := geom.Rect{X0: 3, Y0: 4, X1: 12, Y1: 9}
-	c.RectOutline(r, 1)
-	if !c.Ink().At(3, 4) || !c.Ink().At(12, 9) || !c.Ink().At(7, 4) || !c.Ink().At(3, 7) {
-		t.Error("outline missing pixels")
-	}
-	if c.Ink().At(7, 7) {
-		t.Error("outline filled interior")
-	}
-	c2 := NewCanvas(20, 20)
-	c2.FillRect(r)
-	if c2.Ink().Count() != r.Area() {
-		t.Errorf("fill count %d != area %d", c2.Ink().Count(), r.Area())
-	}
-}
-
 func TestHArrow(t *testing.T) {
 	c := NewCanvas(60, 21)
 	c.HArrow(10, 10, 49, 1)

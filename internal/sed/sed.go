@@ -351,19 +351,13 @@ func mergeBoxes(boxes []geom.Rect, areas []int, gap int) ([]geom.Rect, []int) {
 	}
 }
 
-// tightBox shrinks a candidate box to the raw ink it contains.
+// tightBox shrinks a candidate box to the raw ink it contains; a box with
+// no ink stays as it is, clipped to the picture.
 func tightBox(bw *imgproc.Binary, box geom.Rect) geom.Rect {
-	box = box.Clip(bw.Bounds())
-	out := geom.Rect{X0: box.X1 + 1, Y0: box.Y1 + 1, X1: box.X0 - 1, Y1: box.Y0 - 1}
-	for y := box.Y0; y <= box.Y1; y++ {
-		if first, last, ok := bw.RowSpan(y, box.X0, box.X1); ok {
-			out = out.Union(geom.Rect{X0: first, Y0: y, X1: last, Y1: y})
-		}
+	if ink, ok := bw.InkBox(box); ok {
+		return ink
 	}
-	if out.Empty() {
-		return box
-	}
-	return out
+	return box.Clip(bw.Bounds())
 }
 
 // FeatureSize is the classifier input dimension.

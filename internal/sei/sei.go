@@ -210,12 +210,6 @@ func findHLine(in Input, b geom.Rect, x int) (int, *geom.HSeg, int) {
 	return b.CenterY(), nil, -1
 }
 
-// crossing is one (arrow, vline) intersection of Algorithm 2.
-type crossing struct {
-	v geom.VSeg
-	y int
-}
-
 // rawArrow is an unlabelled detected arrow, carrying the indices of the
 // LAD contours that evidence it (for provenance): the vlines anchoring
 // its endpoints and the H contour(s) forming the shaft.
@@ -321,12 +315,6 @@ func arrowAssociate(in Input, cfg Config) []rawArrow {
 		}
 	}
 	return uniq
-}
-
-// extendV slightly lengthens a vline for crossing tests (shaft rows can sit
-// a pixel or two below a line's detected end).
-func extendV(v geom.VSeg, tol int) geom.VSeg {
-	return geom.VSeg{X: v.X, Y0: v.Y0 - tol, Y1: v.Y1 + tol}
 }
 
 // vlineNear returns the vline whose column is within tol of x and whose

@@ -280,9 +280,6 @@ func (p *SPO) Less(i, j int) bool {
 	return false
 }
 
-// Comparable reports whether events i and j are ordered either way.
-func (p *SPO) Comparable(i, j int) bool { return p.Less(i, j) || p.Less(j, i) }
-
 // SpecText renders the SPO in the paper's textual style (Example 1/2):
 // one "nK = (...)" line per node followed by one "eK = (nI, td, nJ)" line
 // per constraint, constraints listed in DFS order from the sources of the

@@ -110,9 +110,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{root: dir}, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 // objPath returns the artifact path for one (config, input) key.
 func (s *Store) objPath(cfg, input Hash) string {
 	ih := input.Hex()
