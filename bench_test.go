@@ -309,7 +309,8 @@ func BenchmarkFig5ConstraintSampling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sys := polytope.NewSystem(16)
 		for v := 0; v < 16; v++ {
-			sys.AddBounds(v, 0, 1)
+			sys.AddGE(map[int]float64{v: 1}, 0)
+			sys.AddLE(map[int]float64{v: 1}, 1)
 		}
 		// Case-3 inter-relation distances and margins (Sec. IV Group 2.4).
 		sys.AddDiffGE(1, 0, 0.06)

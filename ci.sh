@@ -37,7 +37,11 @@
 #                     the pool drop buffers), and the Fig. 1 pipeline's
 #                     -benchmem B/op at -cpu 1 stays under
 #                     BENCH_GUARDS.json's fig1_bytes_per_op ceiling (the
-#                     full-frame scratch goes back to imgproc's pool)
+#                     full-frame scratch goes back to imgproc's pool).
+#                     Dead-code guard: no package-level function or type,
+#                     and no method, under internal/ that only tests use
+#                     (TestNoDeadDeclarations, a !race test, so step 4
+#                     never runs it)
 #   6. fuzz smoke:    a few seconds of coverage-guided fuzzing on each
 #                     text parser (VCD, against the line decoder it
 #                     replaced, read whole, a byte at a time and in halved
@@ -154,6 +158,7 @@ go test -run 'TestDisabledTracingZeroAllocOnHotPath' -count 1 ./internal/core
 go test -run 'TestDecodeAllocsFlat' -count 1 ./internal/vcd
 go test -run 'TestDecodePNGAllocBytes|TestOtsuThresholdZeroAlloc' -count 1 ./internal/imgproc
 go test -run 'TestLineOpsZeroAlloc' -count 1 ./internal/morph
+go test -run '^TestNoDeadDeclarations$' -count 1 .
 fig1_bytes=$(go test -run '^$' -bench '^BenchmarkFig1PipelineSingleImage$' -benchtime 20x -cpu 1 -benchmem . |
 	awk '$1 ~ /^BenchmarkFig1PipelineSingleImage(-[0-9]+)?$/ { for (i = 3; i <= NF; i++) if ($i == "B/op") print $(i - 1) }')
 fig1_bytes_max=$(python3 -c 'import json; print(json.load(open("BENCH_GUARDS.json"))["guards"]["fig1_bytes_per_op"]["max_bytes_per_op"])')

@@ -271,9 +271,9 @@ func Process(ctx context.Context, pipe *core.Pipeline, it Item, opts Options) Re
 	}
 
 	rs := NewResolver(pipe, opts, 0)
-	img := it.Image
+	var img *imgproc.Gray
 	var rawKey store.Hash
-	if img == nil && it.Load != nil {
+	if it.Load != nil {
 		loaded, err := it.Load()
 		if err != nil {
 			return fail(err)

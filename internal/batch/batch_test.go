@@ -311,7 +311,7 @@ func TestCorruptArtifactHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := batch.Item{Name: "x", Image: s.Image}
+	it := batch.Item{Name: "x", Load: func() (*imgproc.Gray, error) { return s.Image, nil }}
 	opts := batch.Options{Store: st, Config: pipe.ConfigHash()}
 	if err := st.Put(opts.Config, store.HashImage(s.Image), []byte(`{"spec":`)); err != nil {
 		t.Fatal(err)
@@ -435,8 +435,8 @@ func (s *flakySource) Next() (batch.Item, error) {
 	}
 	s.n++
 	return batch.Item{
-		Name:  fmt.Sprintf("flaky-%d", s.n),
-		Image: imgproc.NewGray(8, 8),
+		Name: fmt.Sprintf("flaky-%d", s.n),
+		Load: func() (*imgproc.Gray, error) { return imgproc.NewGray(8, 8), nil },
 	}, nil
 }
 

@@ -13,7 +13,7 @@ import (
 )
 
 // Item is one unit of work flowing through the executor. Exactly one of
-// Image, Load or Open should be set (checked in that order); Err marks an
+// Load or Open should be set (checked in that order); Err marks an
 // item the source could enumerate but not prepare — it flows through as a
 // per-item failure without stopping the stream.
 type Item struct {
@@ -22,8 +22,6 @@ type Item struct {
 	Index int
 	// Name identifies the item in results (file stem, part name, …).
 	Name string
-	// Image is a pre-decoded picture (in-memory sources).
-	Image *imgproc.Gray
 	// Load produces the picture on demand; it runs on an executor worker,
 	// so expensive decoding or synthesis overlaps across items.
 	Load func() (*imgproc.Gray, error)

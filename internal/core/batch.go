@@ -13,10 +13,9 @@ import (
 
 // BatchResult is one picture's outcome in a batch translation.
 type BatchResult struct {
-	Index int
-	SPO   *spo.SPO
-	Rep   *Report
-	Err   error
+	SPO *spo.SPO
+	Rep *Report
+	Err error
 }
 
 // BatchOptions configures a batch translation.
@@ -56,7 +55,6 @@ func (p *Pipeline) TranslateAllCtx(ctx context.Context, imgs []*imgproc.Gray, op
 
 // translateItem runs one batch item under its deadline and panic guard.
 func (p *Pipeline) translateItem(ctx context.Context, i int, img *imgproc.Gray, timeout time.Duration) (res BatchResult) {
-	res = BatchResult{Index: i}
 	defer func() {
 		if r := recover(); r != nil {
 			res.SPO, res.Rep = nil, nil

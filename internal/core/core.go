@@ -268,11 +268,7 @@ func (p *Pipeline) Analyze(img *imgproc.Gray) *Report {
 // a context error) aborts the translation.
 func (p *Pipeline) analyzeStagesCtx(ctx context.Context, img *imgproc.Gray) (*Report, error) {
 	l := p.layer(ctx, "imgproc.binarize")
-	thr := p.LADCfg.Threshold
-	if thr == 0 {
-		thr = imgproc.OtsuThreshold(img)
-	}
-	bw := imgproc.Threshold(img, thr)
+	bw, thr := lad.Binarize(img, p.LADCfg)
 	l.Int("threshold", int64(thr))
 	l.End()
 	rep, err := p.perceive(ctx, img, bw)

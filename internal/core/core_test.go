@@ -5,11 +5,13 @@ import (
 	"context"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tdmagic/internal/dataset"
 	"tdmagic/internal/geom"
 	"tdmagic/internal/imgproc"
+	"tdmagic/internal/nn"
 	"tdmagic/internal/ocr"
 	"tdmagic/internal/sed"
 	"tdmagic/internal/spo"
@@ -126,6 +128,51 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
+// TestLoadRefusesMisshapedModel pins core.Load's shape check: a model file
+// whose SED network does not match its own Sizes, the detector's features
+// or its classes, or whose OCR templates are not grids of the recogniser's
+// length, is refused with an error naming what is wrong.
+func TestLoadRefusesMisshapedModel(t *testing.T) {
+	pipe, _ := trainSmall(t)
+	var saved bytes.Buffer
+	if err := pipe.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range []struct {
+		name, want string
+		mutate     func(p *Pipeline)
+	}{
+		{"last weight layer dropped", "SED layer 1", func(p *Pipeline) {
+			p.SED.Net.Weights = p.SED.Net.Weights[:len(p.SED.Net.Weights)-1]
+		}},
+		{"short bias layer", "SED layer 0", func(p *Pipeline) { p.SED.Net.Biases[0] = p.SED.Net.Biases[0][1:] }},
+		{"extra layer", "2 weight", func(p *Pipeline) { p.SED.Net.Sizes = p.SED.Net.Sizes[:2] }},
+		{"input width", "features", func(p *Pipeline) { p.SED.Net = nn.NewNet(rng, sed.FeatureSize+1, 4, sed.NumClasses) }},
+		{"output width", "classes", func(p *Pipeline) { p.SED.Net = nn.NewNet(rng, sed.FeatureSize, 4, sed.NumClasses-1) }},
+		{"OCR grid", "OCR template", func(p *Pipeline) {
+			for _, tpl := range p.OCR.Templates {
+				tpl.Grid = tpl.Grid[1:]
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := Load(bytes.NewReader(saved.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.mutate(p)
+			var buf bytes.Buffer
+			if err := p.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Load = %v, want an error naming %q", err, c.want)
+			}
+		})
+	}
+}
+
 func TestSaveLoadFile(t *testing.T) {
 	pipe, _ := trainSmall(t)
 	path := filepath.Join(t.TempDir(), "model.gob")
@@ -182,9 +229,6 @@ func TestTranslateAllMatchesSequential(t *testing.T) {
 		t.Fatalf("batch size %d", len(batch))
 	}
 	for i, r := range batch {
-		if r.Index != i {
-			t.Errorf("result %d has index %d", i, r.Index)
-		}
 		seq, _, seqErr := pipe.Translate(imgs[i])
 		if (r.Err == nil) != (seqErr == nil) {
 			t.Errorf("sample %d: err mismatch %v vs %v", i, r.Err, seqErr)

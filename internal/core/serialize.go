@@ -68,6 +68,9 @@ func Load(r io.Reader) (*Pipeline, error) {
 	if g.SEDNet == nil || len(g.OCRModel) == 0 {
 		return nil, fmt.Errorf("core: load pipeline: missing models")
 	}
+	if err := checkShapes(&g); err != nil {
+		return nil, fmt.Errorf("core: load pipeline: %w", err)
+	}
 	seiCfg := sei.Config{
 		Expand:         g.SEICfg.Expand,
 		YTol:           g.SEICfg.YTol,
@@ -88,6 +91,38 @@ func Load(r io.Reader) (*Pipeline, error) {
 		OCRCfg: g.OCRCfg,
 		SEICfg: seiCfg,
 	}, nil
+}
+
+// checkShapes refuses an SED network whose layers do not match its own
+// Sizes or the detector's feature and class counts, and an OCR template
+// whose grid is not the recogniser's length: such a model would load and
+// then find nothing without an error.
+func checkShapes(g *pipelineGob) error {
+	n := g.SEDNet
+	if len(n.Sizes) < 2 {
+		return fmt.Errorf("SED network has %d layer sizes, want at least 2", len(n.Sizes))
+	}
+	layers := len(n.Sizes) - 1
+	if len(n.Weights) > layers || len(n.Biases) > layers {
+		return fmt.Errorf("SED network has %d weight and %d bias layers for %d sizes",
+			len(n.Weights), len(n.Biases), len(n.Sizes))
+	}
+	for l := 0; l < layers; l++ {
+		in, out := n.Sizes[l], n.Sizes[l+1]
+		if l >= len(n.Weights) || l >= len(n.Biases) || len(n.Weights[l]) != in*out || len(n.Biases[l]) != out {
+			return fmt.Errorf("SED layer %d does not hold %d×%d weights and %d biases", l, out, in, out)
+		}
+	}
+	if n.InputSize() != sed.FeatureSize || n.OutputSize() != sed.NumClasses {
+		return fmt.Errorf("SED network maps %d features to %d classes, want %d to %d",
+			n.InputSize(), n.OutputSize(), sed.FeatureSize, sed.NumClasses)
+	}
+	for r, t := range g.OCRModel {
+		if t == nil || len(t.Grid) != ocr.GridLen {
+			return fmt.Errorf("OCR template %q has no grid of %d values", r, ocr.GridLen)
+		}
+	}
+	return nil
 }
 
 // SaveFile writes the pipeline to a file path.

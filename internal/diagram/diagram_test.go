@@ -283,7 +283,7 @@ func TestRenderThresholdCrossing(t *testing.T) {
 	crossed := false
 	for _, h := range s.HLines {
 		for _, v := range s.VLines {
-			if p, ok := geom.CrossPoint(h, v); ok && p.In(rampBox) {
+			if p, ok := geom.CrossPoint(h, v); ok && rampBox.Contains(geom.Rect{X0: p.X, Y0: p.Y, X1: p.X, Y1: p.Y}) {
 				if p.Y < rampBox.CenterY() {
 					crossed = true
 				}

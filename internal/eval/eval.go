@@ -7,6 +7,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -16,6 +17,7 @@ import (
 	"tdmagic/internal/dataset"
 	"tdmagic/internal/detect"
 	"tdmagic/internal/geom"
+	"tdmagic/internal/imgproc"
 	"tdmagic/internal/industrial"
 	"tdmagic/internal/lad"
 	"tdmagic/internal/spo"
@@ -130,13 +132,18 @@ type TableIResult struct {
 }
 
 // TableI runs the edge-detection validation experiment on synthetic data
-// (paper Table I).
+// (paper Table I). It scores SED's own detections, before the pipeline
+// drops the ones that coincide with recognised text.
 func TableI(pipe *core.Pipeline, val []*dataset.Sample) *TableIResult {
+	ctx := context.Background() // never ends, so the stages return no error
 	var dets []detect.Detection
 	var gts []detect.GroundTruth
 	for i, s := range val {
-		lines := lad.Detect(s.Image, pipe.LADCfg)
-		for _, d := range pipe.SED.Detect(s.Image, lines) {
+		bw, _ := lad.Binarize(s.Image, pipe.LADCfg)
+		lines, _ := lad.DetectBinaryCtx(ctx, bw, pipe.LADCfg)
+		found, _ := pipe.SED.DetectCtx(ctx, s.Image, lines)
+		imgproc.PutBinary(bw)
+		for _, d := range found {
 			dets = append(dets, detect.Detection{Box: d.Box, Class: int(d.Type), Score: d.Score, Image: i})
 		}
 		for _, g := range s.Edges {

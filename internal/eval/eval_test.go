@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"tdmagic/internal/core"
+	"tdmagic/internal/corrupt"
 	"tdmagic/internal/dataset"
+	"tdmagic/internal/imgproc"
 	"tdmagic/internal/tdgen"
 )
 
@@ -176,6 +178,32 @@ func TestTableIIAndOverall(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "template-level") || !strings.Contains(out, "ind-01") {
 		t.Error("overall printout wrong")
+	}
+}
+
+// TestTableIIIReadsPipelineTexts pins that Table III scores the texts the
+// pipeline's own stages read: on a contrast-faded picture, with
+// LADCfg.Threshold well below Otsu's choice (which binarises the faded
+// paper's noise to ink), a ground truth made of exactly the texts
+// pipe.Analyze reads must score 1.
+func TestTableIIIReadsPipelineTexts(t *testing.T) {
+	base, val := setup(t)
+	img := corrupt.ContrastFade(val[0].Image, 4, 1)
+	pipe := *base
+	pipe.LADCfg.Threshold = imgproc.OtsuThreshold(img) - 40
+	s := &dataset.Sample{Name: "faded", Image: img}
+	for _, r := range pipe.Analyze(img).Texts {
+		s.Texts = append(s.Texts, dataset.TextBox{Box: r.Box, Text: r.Text, Role: dataset.RoleSignalName})
+	}
+	if len(s.Texts) == 0 {
+		t.Fatal("the pipeline read no text")
+	}
+	res, err := TableIIIRun(&pipe, SliceCorpus([]*dataset.Sample{s}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc := res.Accuracy[dataset.RoleSignalName]; acc != 1 {
+		t.Errorf("Table III read %.3f of the %d texts the pipeline reads, want all", acc, len(s.Texts))
 	}
 }
 

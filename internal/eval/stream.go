@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"tdmagic/internal/batch"
 	"tdmagic/internal/core"
@@ -61,8 +60,6 @@ func DirCorpus(dir string) (Corpus, error) {
 type RunOpts struct {
 	// Workers fans translation out (<= 0 means GOMAXPROCS).
 	Workers int
-	// Timeout is the optional per-picture deadline.
-	Timeout time.Duration
 	// Store, when non-nil, is a persistent result cache keyed on the
 	// pipeline's ConfigHash: a re-run of the same evaluation recomputes
 	// only what the store does not already hold.
@@ -114,7 +111,7 @@ func (c Corpus) source(hold *sampleHold) batch.Source {
 // batchOptions translates RunOpts for the executor; scoring consumers need
 // the perception report, so store artifacts are persisted with it.
 func (o RunOpts) batchOptions(pipe *core.Pipeline, persistReport bool) batch.Options {
-	opts := batch.Options{Workers: o.Workers, Timeout: o.Timeout, PersistReport: persistReport}
+	opts := batch.Options{Workers: o.Workers, PersistReport: persistReport}
 	if o.Store != nil {
 		opts.Store = o.Store
 		opts.Config = pipe.ConfigHash()
@@ -267,8 +264,10 @@ func TableIIRun(pipe *core.Pipeline, c Corpus, opts RunOpts) (*TableIIResult, er
 
 // TableIIIRun measures exact-string OCR accuracy against ground truth
 // (paper Table III on the industrial corpus, the Sec. VI OCR validation on
-// synthetic pictures): pure OCR scoring, one sample resident at a time.
+// synthetic pictures): pure OCR scoring, one sample resident at a time, on
+// the picture binarised as the pipeline binarises it.
 func TableIIIRun(pipe *core.Pipeline, c Corpus) (*OCRValResult, error) {
+	ctx := context.Background() // never ends, so the stages return no error
 	correct := map[dataset.TextRole]int{}
 	total := map[dataset.TextRole]int{}
 	for i := 0; i < c.N; i++ {
@@ -276,9 +275,10 @@ func TableIIIRun(pipe *core.Pipeline, c Corpus) (*OCRValResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("eval: sample %d: %w", i, err)
 		}
-		bw := imgproc.Threshold(s.Image, imgproc.OtsuThreshold(s.Image))
-		lines := lad.DetectBinary(bw, pipe.LADCfg)
-		results := pipe.OCR.ReadAll(bw, lines, pipe.OCRCfg)
+		bw, _ := lad.Binarize(s.Image, pipe.LADCfg)
+		lines, _ := lad.DetectBinaryCtx(ctx, bw, pipe.LADCfg)
+		results, _ := pipe.OCR.ReadAllCtx(ctx, bw, lines, pipe.OCRCfg)
+		imgproc.PutBinary(bw)
 		for _, gt := range s.Texts {
 			total[gt.Role]++
 			for _, r := range results {

@@ -117,7 +117,7 @@ func TestDrawString(t *testing.T) {
 	// Ink must stay inside the reported box.
 	for y := 0; y < b.H; y++ {
 		for x := 0; x < b.W; x++ {
-			if b.At(x, y) && !(geom.Pt{X: x, Y: y}).In(box) {
+			if b.At(x, y) && !box.Contains(geom.Rect{X0: x, Y0: y, X1: x, Y1: y}) {
 				t.Errorf("ink outside box at (%d,%d)", x, y)
 			}
 		}
@@ -226,7 +226,7 @@ func TestRichBoxContainsInk(t *testing.T) {
 		})
 		for y := 0; y < b.H; y++ {
 			for x := 0; x < b.W; x++ {
-				if b.At(x, y) && !(geom.Pt{X: x, Y: y}).In(box) {
+				if b.At(x, y) && !box.Contains(geom.Rect{X0: x, Y0: y, X1: x, Y1: y}) {
 					t.Errorf("%q: ink at (%d,%d) outside box %v", s, x, y, box)
 				}
 			}

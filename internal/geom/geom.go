@@ -15,17 +15,6 @@ type Pt struct {
 	X, Y int
 }
 
-// Add returns the component-wise sum of p and q.
-func (p Pt) Add(q Pt) Pt { return Pt{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns the component-wise difference of p and q.
-func (p Pt) Sub(q Pt) Pt { return Pt{p.X - q.X, p.Y - q.Y} }
-
-// In reports whether p lies inside r (inclusive bounds).
-func (p Pt) In(r Rect) bool {
-	return r.X0 <= p.X && p.X <= r.X1 && r.Y0 <= p.Y && p.Y <= r.Y1
-}
-
 func (p Pt) String() string { return fmt.Sprintf("(%d,%d)", p.X, p.Y) }
 
 // Rect is an axis-aligned rectangle with inclusive integer bounds.

@@ -6,37 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestPtAddSub(t *testing.T) {
-	p := Pt{3, -2}
-	q := Pt{-1, 5}
-	if got := p.Add(q); got != (Pt{2, 3}) {
-		t.Errorf("Add = %v, want (2,3)", got)
-	}
-	if got := p.Sub(q); got != (Pt{4, -7}) {
-		t.Errorf("Sub = %v, want (4,-7)", got)
-	}
-}
-
-func TestPtIn(t *testing.T) {
-	r := Rect{0, 0, 10, 5}
-	cases := []struct {
-		p    Pt
-		want bool
-	}{
-		{Pt{0, 0}, true},
-		{Pt{10, 5}, true},
-		{Pt{5, 3}, true},
-		{Pt{-1, 3}, false},
-		{Pt{11, 3}, false},
-		{Pt{5, 6}, false},
-	}
-	for _, c := range cases {
-		if got := c.p.In(r); got != c.want {
-			t.Errorf("%v.In(%v) = %v, want %v", c.p, r, got, c.want)
-		}
-	}
-}
-
 func TestRectEmptyAndDims(t *testing.T) {
 	r := Rect{2, 3, 5, 4}
 	if r.Empty() {

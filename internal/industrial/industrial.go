@@ -15,6 +15,7 @@ package industrial
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"tdmagic/internal/dataset"
@@ -429,19 +430,9 @@ func ComputeStats(samples []*dataset.Sample) Stats {
 	if st.TDs > 0 {
 		n := float64(st.TDs)
 		st.MeanW, st.MeanH = sw/n, sh/n
-		st.StdW = sqrt(sw2/n - st.MeanW*st.MeanW)
-		st.StdH = sqrt(sh2/n - st.MeanH*st.MeanH)
+		// Rounding can leave a zero variance slightly negative.
+		st.StdW = math.Sqrt(max(sw2/n-st.MeanW*st.MeanW, 0))
+		st.StdH = math.Sqrt(max(sh2/n-st.MeanH*st.MeanH, 0))
 	}
 	return st
-}
-
-func sqrt(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	x := v
-	for i := 0; i < 40; i++ {
-		x = (x + v/x) / 2
-	}
-	return x
 }

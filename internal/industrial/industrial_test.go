@@ -3,7 +3,9 @@ package industrial
 import (
 	"testing"
 
+	"tdmagic/internal/dataset"
 	"tdmagic/internal/diagram"
+	"tdmagic/internal/imgproc"
 	"tdmagic/internal/spo"
 )
 
@@ -194,11 +196,12 @@ func TestComputeStatsEmpty(t *testing.T) {
 	}
 }
 
-func TestSqrt(t *testing.T) {
-	if sqrt(-1) != 0 || sqrt(0) != 0 {
-		t.Error("nonpositive sqrt")
-	}
-	if v := sqrt(16); v < 3.999 || v > 4.001 {
-		t.Errorf("sqrt(16) = %v", v)
+// TestComputeStatsStd pins the picture-size deviations: the population
+// standard deviation, 0 for equal sizes.
+func TestComputeStatsStd(t *testing.T) {
+	sized := func(w, h int) *dataset.Sample { return &dataset.Sample{Image: imgproc.NewGray(w, h)} }
+	st := ComputeStats([]*dataset.Sample{sized(2, 5), sized(6, 5)})
+	if st.StdW != 2 || st.StdH != 0 {
+		t.Errorf("std = %v x %v, want 2 x 0", st.StdW, st.StdH)
 	}
 }

@@ -25,7 +25,7 @@ func TestDetectDegenerate(t *testing.T) {
 	}
 	for name, img := range cases {
 		t.Run(name, func(t *testing.T) {
-			res := Detect(img, DefaultConfig())
+			res := detect(t, img)
 			if res == nil || res.BW == nil {
 				t.Fatal("nil result")
 			}

@@ -70,35 +70,22 @@ type Result struct {
 	H  []HContour
 }
 
-// Detect runs binarisation and contour extraction on img.
-func Detect(img *imgproc.Gray, cfg Config) *Result {
-	res, _ := DetectCtx(context.Background(), img, cfg)
-	return res
-}
-
-// DetectCtx is Detect with cooperative cancellation: the context is
-// checked between the binarisation and morphology passes and along the
-// per-contour density scans, so a pathological picture cannot run past
-// its deadline by more than one pass.
-func DetectCtx(ctx context.Context, img *imgproc.Gray, cfg Config) (*Result, error) {
+// Binarize converts img into the inverse binary image imgBW at
+// cfg.Threshold, or at Otsu's threshold when that is 0, and returns the
+// image and the threshold it used. The image comes from imgproc's scratch
+// pool; a caller done with it may give it back with imgproc.PutBinary.
+func Binarize(img *imgproc.Gray, cfg Config) (*imgproc.Binary, uint8) {
 	thr := cfg.Threshold
 	if thr == 0 {
 		thr = imgproc.OtsuThreshold(img)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	bw := imgproc.Threshold(img, thr)
-	return DetectBinaryCtx(ctx, bw, cfg)
+	return imgproc.Threshold(img, thr), thr
 }
 
-// DetectBinary runs contour extraction on an existing inverse binary image.
-func DetectBinary(bw *imgproc.Binary, cfg Config) *Result {
-	res, _ := DetectBinaryCtx(context.Background(), bw, cfg)
-	return res
-}
-
-// DetectBinaryCtx is DetectBinary with cooperative cancellation.
+// DetectBinaryCtx runs contour extraction on the inverse binary image bw.
+// The context is checked between the morphology passes and along the
+// per-contour density scans, so a pathological picture cannot run past
+// its deadline by more than one pass.
 func DetectBinaryCtx(ctx context.Context, bw *imgproc.Binary, cfg Config) (*Result, error) {
 	res := &Result{BW: bw}
 	if err := ctx.Err(); err != nil {

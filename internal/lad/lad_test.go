@@ -1,18 +1,31 @@
 package lad
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"tdmagic/internal/geom"
+	"tdmagic/internal/imgproc"
 	"tdmagic/internal/render"
 	"tdmagic/internal/tdgen"
 )
 
+// detect runs LAD on img binarised as the pipeline binarises it.
+func detect(t *testing.T, img *imgproc.Gray) *Result {
+	t.Helper()
+	bw, _ := Binarize(img, DefaultConfig())
+	res, err := DetectBinaryCtx(context.Background(), bw, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestDetectDashedVerticalLine(t *testing.T) {
 	c := render.NewCanvas(200, 200)
 	c.DashedLine(geom.Pt{X: 100, Y: 20}, geom.Pt{X: 100, Y: 180}, 1, 4, 4)
-	res := Detect(c.Gray(), DefaultConfig())
+	res := detect(t, c.Gray())
 	if len(res.V) != 1 {
 		t.Fatalf("vertical contours = %d, want 1", len(res.V))
 	}
@@ -32,7 +45,7 @@ func TestDetectSolidVsDashedDensity(t *testing.T) {
 	c := render.NewCanvas(200, 200)
 	c.Line(geom.Pt{X: 50, Y: 20}, geom.Pt{X: 50, Y: 180}, 2)
 	c.DashedLine(geom.Pt{X: 150, Y: 20}, geom.Pt{X: 150, Y: 180}, 1, 4, 4)
-	res := Detect(c.Gray(), DefaultConfig())
+	res := detect(t, c.Gray())
 	if len(res.V) != 2 {
 		t.Fatalf("vertical contours = %d, want 2", len(res.V))
 	}
@@ -59,7 +72,7 @@ func TestDetectHorizontalContours(t *testing.T) {
 	c := render.NewCanvas(300, 100)
 	c.Line(geom.Pt{X: 20, Y: 30}, geom.Pt{X: 280, Y: 30}, 3)             // plateau
 	c.DashedLine(geom.Pt{X: 50, Y: 60}, geom.Pt{X: 150, Y: 60}, 1, 4, 4) // threshold
-	res := Detect(c.Gray(), DefaultConfig())
+	res := detect(t, c.Gray())
 	if len(res.H) != 2 {
 		t.Fatalf("horizontal contours = %d, want 2", len(res.H))
 	}
@@ -83,7 +96,7 @@ func TestDetectFiltersTextAndDiagonals(t *testing.T) {
 	c := render.NewCanvas(300, 200)
 	c.Text(20, 20, "t_{D(on)} 90% V_{INA}", 2)
 	c.Line(geom.Pt{X: 50, Y: 180}, geom.Pt{X: 200, Y: 60}, 3) // ramp-like diagonal
-	res := Detect(c.Gray(), DefaultConfig())
+	res := detect(t, c.Gray())
 	if len(res.V) != 0 {
 		t.Errorf("text/diagonal produced %d vertical contours", len(res.V))
 	}
@@ -100,7 +113,7 @@ func TestDetectFiltersTextAndDiagonals(t *testing.T) {
 func TestDetectArrowShaft(t *testing.T) {
 	c := render.NewCanvas(300, 60)
 	c.HArrow(30, 40, 260, 2)
-	res := Detect(c.Gray(), DefaultConfig())
+	res := detect(t, c.Gray())
 	if len(res.H) != 1 {
 		t.Fatalf("arrow produced %d horizontal contours, want 1", len(res.H))
 	}
@@ -118,7 +131,7 @@ func TestDetectStepEdgeAppearsVertical(t *testing.T) {
 	// Example 3 confusion. LAD must report it (SEI disambiguates later).
 	c := render.NewCanvas(100, 200)
 	c.Line(geom.Pt{X: 50, Y: 40}, geom.Pt{X: 50, Y: 160}, 3)
-	res := Detect(c.Gray(), DefaultConfig())
+	res := detect(t, c.Gray())
 	if len(res.V) != 1 {
 		t.Fatalf("step edge not detected as vertical contour")
 	}
@@ -134,7 +147,7 @@ func TestDetectOnGeneratedDiagram(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := Detect(s.Image, DefaultConfig())
+		res := detect(t, s.Image)
 		// Every ground-truth vline must be matched by some vertical
 		// contour within 3 px of its column covering most of its span.
 		for _, gt := range s.VLines {
@@ -170,15 +183,15 @@ func TestDetectOnGeneratedDiagram(t *testing.T) {
 func TestDetectBinaryDirect(t *testing.T) {
 	c := render.NewCanvas(100, 100)
 	c.Line(geom.Pt{X: 50, Y: 10}, geom.Pt{X: 50, Y: 90}, 1)
-	res := DetectBinary(c.Ink(), DefaultConfig())
-	if len(res.V) != 1 || res.BW == nil {
-		t.Error("DetectBinary failed")
+	res, err := DetectBinaryCtx(context.Background(), c.Ink(), DefaultConfig())
+	if err != nil || len(res.V) != 1 || res.BW == nil {
+		t.Errorf("DetectBinaryCtx failed: %v", err)
 	}
 }
 
 func TestDetectEmptyImage(t *testing.T) {
 	c := render.NewCanvas(50, 50)
-	res := Detect(c.Gray(), DefaultConfig())
+	res := detect(t, c.Gray())
 	if len(res.V) != 0 || len(res.H) != 0 {
 		t.Error("empty image produced contours")
 	}

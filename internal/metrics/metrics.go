@@ -51,9 +51,6 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 // atomic occupancy check of a bounded queue.
 func (g *Gauge) Add(n int64) int64 { return g.v.Add(n) }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

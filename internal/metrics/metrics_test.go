@@ -26,8 +26,7 @@ func TestCounterGauge(t *testing.T) {
 	if g.Value() != 1 {
 		t.Errorf("gauge = %d, want 1", g.Value())
 	}
-	g.Set(7)
-	if g.Value() != 7 {
+	if g.Add(6) != 7 || g.Value() != 7 {
 		t.Errorf("gauge = %d, want 7", g.Value())
 	}
 }

@@ -19,7 +19,6 @@ package nn
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 
@@ -52,9 +51,6 @@ func NewNet(rng *rand.Rand, sizes ...int) *Net {
 	}
 	return n
 }
-
-// NumLayers returns the number of weight layers.
-func (n *Net) NumLayers() int { return len(n.Weights) }
 
 // InputSize returns the expected feature-vector length.
 func (n *Net) InputSize() int { return n.Sizes[0] }
@@ -164,7 +160,7 @@ func (n *Net) Predict(x []float64) (class int, prob float64) {
 
 // PredictScratch is Predict with caller-owned working buffers: it performs
 // no heap allocation, making it the classifier call of the inference hot
-// path (sed.Detect, batch translation).
+// path (sed.DetectCtx, batch translation).
 func (n *Net) PredictScratch(sc *Scratch, x []float64) (class int, prob float64) {
 	p := SoftmaxInto(sc.probs, n.LogitsScratch(sc, x))
 	best := 0
@@ -187,9 +183,7 @@ type TrainConfig struct {
 	Epochs    int     // passes over the data (default 30)
 	BatchSize int     // minibatch size (default 32)
 	LR        float64 // Adam step size (default 1e-3)
-	L2        float64 // weight decay (default 0)
 	Workers   int     // gradient workers (default GOMAXPROCS; results are worker-count independent)
-	Verbose   io.Writer
 }
 
 func (c *TrainConfig) defaults() {
@@ -329,14 +323,11 @@ func (n *Net) Train(rng *rand.Rand, samples []Sample, cfg TrainConfig) (float64,
 			bc1 := 1 - math.Pow(beta1, float64(step))
 			bc2 := 1 - math.Pow(beta2, float64(step))
 			for l := range n.Weights {
-				adamUpdate(n.Weights[l], gW[l], mW[l], vW[l], scale, cfg.LR, cfg.L2, beta1, beta2, eps, bc1, bc2)
-				adamUpdate(n.Biases[l], gB[l], mB[l], vB[l], scale, cfg.LR, 0, beta1, beta2, eps, bc1, bc2)
+				adamUpdate(n.Weights[l], gW[l], mW[l], vW[l], scale, cfg.LR, beta1, beta2, eps, bc1, bc2)
+				adamUpdate(n.Biases[l], gB[l], mB[l], vB[l], scale, cfg.LR, beta1, beta2, eps, bc1, bc2)
 			}
 		}
 		lastLoss = totalLoss / float64(len(samples))
-		if cfg.Verbose != nil {
-			fmt.Fprintf(cfg.Verbose, "epoch %d: loss %.4f\n", epoch+1, lastLoss)
-		}
 	}
 	return lastLoss, nil
 }
@@ -353,9 +344,9 @@ func addF(dst, src []float64) {
 	}
 }
 
-func adamUpdate(w, g, m, v []float64, scale, lr, l2, beta1, beta2, eps, bc1, bc2 float64) {
+func adamUpdate(w, g, m, v []float64, scale, lr, beta1, beta2, eps, bc1, bc2 float64) {
 	for i := range w {
-		grad := g[i]*scale + l2*w[i]
+		grad := g[i] * scale
 		m[i] = beta1*m[i] + (1-beta1)*grad
 		v[i] = beta2*v[i] + (1-beta2)*grad*grad
 		w[i] -= lr * (m[i] / bc1) / (math.Sqrt(v[i]/bc2) + eps)
@@ -408,19 +399,4 @@ func (n *Net) backprop(sc *Scratch, s Sample, gW, gB [][]float64) float64 {
 		}
 	}
 	return loss
-}
-
-// Accuracy returns the fraction of samples whose predicted class matches.
-func (n *Net) Accuracy(samples []Sample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sc := n.NewScratch()
-	ok := 0
-	for _, s := range samples {
-		if c, _ := n.PredictScratch(sc, s.X); c == s.Y {
-			ok++
-		}
-	}
-	return float64(ok) / float64(len(samples))
 }

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,8 +9,8 @@ import (
 func TestNewNetShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n := NewNet(rng, 4, 8, 3)
-	if n.NumLayers() != 2 || n.InputSize() != 4 || n.OutputSize() != 3 {
-		t.Fatalf("shape accessors wrong: %d %d %d", n.NumLayers(), n.InputSize(), n.OutputSize())
+	if len(n.Weights) != 2 || n.InputSize() != 4 || n.OutputSize() != 3 {
+		t.Fatalf("shape wrong: %d %d %d", len(n.Weights), n.InputSize(), n.OutputSize())
 	}
 	if len(n.Weights[0]) != 4*8 || len(n.Weights[1]) != 8*3 {
 		t.Error("weight tensor sizes wrong")
@@ -132,20 +131,19 @@ func TestTrainErrors(t *testing.T) {
 	}
 }
 
-func TestTrainWithL2AndVerbose(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := NewNet(rng, 2, 8, 2)
-	samples := []Sample{
-		{X: []float64{0, 0}, Y: 0},
-		{X: []float64{1, 1}, Y: 1},
+// Accuracy returns the fraction of samples whose predicted class matches.
+func (n *Net) Accuracy(samples []Sample) float64 {
+	if len(samples) == 0 {
+		return 0
 	}
-	var buf bytes.Buffer
-	if _, err := n.Train(rng, samples, TrainConfig{Epochs: 3, L2: 1e-4, Verbose: &buf}); err != nil {
-		t.Fatal(err)
+	sc := n.NewScratch()
+	ok := 0
+	for _, s := range samples {
+		if c, _ := n.PredictScratch(sc, s.X); c == s.Y {
+			ok++
+		}
 	}
-	if buf.Len() == 0 {
-		t.Error("verbose output empty")
-	}
+	return float64(ok) / float64(len(samples))
 }
 
 func TestAccuracyEmpty(t *testing.T) {

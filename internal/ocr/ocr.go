@@ -25,10 +25,12 @@ import (
 	"tdmagic/internal/lad"
 )
 
-// Grid dimensions of the normalised glyph representation.
+// Grid dimensions of the normalised glyph representation; GridLen is the
+// length of a Template's Grid.
 const (
-	gridW = 10
-	gridH = 14
+	gridW   = 10
+	gridH   = 14
+	GridLen = gridW * gridH
 )
 
 // Template is the learned appearance of one character.
@@ -56,16 +58,6 @@ func (m *Model) getGrid() []float64 {
 }
 
 func (m *Model) putGrid(g []float64) { m.grids.Put(&g) }
-
-// Charset returns the characters the model can emit.
-func (m *Model) Charset() []rune {
-	out := make([]rune, 0, len(m.Templates))
-	for r := range m.Templates {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // charset is the vocabulary of datasheet annotations.
 const charset = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789%()/"
@@ -321,21 +313,14 @@ func (m *Model) RecognizeLine(bw *imgproc.Binary, box geom.Rect) (string, float6
 // corresponding templates (the same alignment trick CTC-style recognisers
 // exploit, applicable here because the typesetting is known).
 //
-// bws optionally carries the samples' pre-binarised images (parallel to
-// samples), sharing one Otsu pass with the other training stages; nil
-// binarises internally.
+// bws carries the samples' binarised images (parallel to samples), sharing
+// one binarisation with the other training stages.
 func (m *Model) Train(samples []*dataset.Sample, bws []*imgproc.Binary) int {
 	aligned := 0
 	grid := m.getGrid()
 	defer m.putGrid(grid)
 	for si, s := range samples {
-		bw := (*imgproc.Binary)(nil)
-		if bws != nil {
-			bw = bws[si]
-		}
-		if bw == nil {
-			bw = imgproc.Threshold(s.Image, imgproc.OtsuThreshold(s.Image))
-		}
+		bw := bws[si]
 		for _, tb := range s.Texts {
 			chars := plainChars(tb.Text)
 			boxes := segmentBoxes(bw, tb.Box)
@@ -466,20 +451,13 @@ func vOverlap(a, b geom.Rect) bool {
 	return a.Y0 <= b.Y1 && b.Y0 <= a.Y1
 }
 
-// ReadAll detects and recognises every text box in a picture. Leading and
-// trailing glyphs that match no template (arrow heads or stroke debris that
-// joined the cluster) are trimmed before the cluster-level confidence
-// filter, so a long label next to an arrow head survives while pure-debris
-// clusters are dropped.
-func (m *Model) ReadAll(bw *imgproc.Binary, lines *lad.Result, cfg DetectConfig) []Result {
-	out, _ := m.ReadAllCtx(context.Background(), bw, lines, cfg)
-	return out
-}
-
-// ReadAllCtx is ReadAll with cooperative cancellation: the context is
-// checked before region detection and between text boxes, so a
-// pathological picture cannot run past its deadline by more than one
-// region's recognition.
+// ReadAllCtx detects and recognises every text box in a picture. Leading
+// and trailing glyphs that match no template (arrow heads or stroke debris
+// that joined the cluster) are trimmed before the cluster-level confidence
+// filter, so a long label next to an arrow head survives while
+// pure-debris clusters are dropped. The context is checked before region
+// detection and between text boxes, so a pathological picture cannot run
+// past its deadline by more than one region's recognition.
 func (m *Model) ReadAllCtx(ctx context.Context, bw *imgproc.Binary, lines *lad.Result, cfg DetectConfig) ([]Result, error) {
 	const glyphTrimConf = 0.36
 	if err := ctx.Err(); err != nil {
@@ -568,19 +546,9 @@ func editDistance(a, b string) int {
 			if ra[i-1] == rb[j-1] {
 				cost = 0
 			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
 		}
 		prev, cur = cur, prev
 	}
 	return prev[len(rb)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }

@@ -21,14 +21,6 @@ func NewSystem(dim int) *System {
 	return &System{Dim: dim, Names: make([]string, dim)}
 }
 
-// Name returns the diagnostic name of variable i (or "x<i>").
-func (s *System) Name(i int) string {
-	if i < len(s.Names) && s.Names[i] != "" {
-		return s.Names[i]
-	}
-	return fmt.Sprintf("x%d", i)
-}
-
 // AddLE adds the constraint coef·x <= b. coef maps variable index to
 // coefficient; missing indices are zero.
 func (s *System) AddLE(coef map[int]float64, b float64) {
@@ -50,12 +42,6 @@ func (s *System) AddGE(coef map[int]float64, b float64) {
 		neg[i] = -v
 	}
 	s.AddLE(neg, -b)
-}
-
-// AddBounds adds lo <= x_i <= hi.
-func (s *System) AddBounds(i int, lo, hi float64) {
-	s.AddGE(map[int]float64{i: 1}, lo)
-	s.AddLE(map[int]float64{i: 1}, hi)
 }
 
 // AddDiffGE adds x_i - x_j >= c (e.g. "box i starts at least c after box j
@@ -229,16 +215,4 @@ func (s *Sampler) step() {
 	for i := range s.x {
 		s.x[i] += t * dir[i]
 	}
-}
-
-// Sample draws n samples after a burn-in of burnIn chain steps.
-func (s *Sampler) Sample(n, burnIn int) [][]float64 {
-	for i := 0; i < burnIn; i++ {
-		s.step()
-	}
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = s.Next()
-	}
-	return out
 }

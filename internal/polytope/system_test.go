@@ -6,10 +6,28 @@ import (
 	"testing"
 )
 
+// addBounds adds lo <= x_i <= hi.
+func addBounds(s *System, i int, lo, hi float64) {
+	s.AddGE(map[int]float64{i: 1}, lo)
+	s.AddLE(map[int]float64{i: 1}, hi)
+}
+
+// sample draws n samples after a burn-in of burnIn chain steps.
+func sample(s *Sampler, n, burnIn int) [][]float64 {
+	for i := 0; i < burnIn; i++ {
+		s.step()
+	}
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = s.Next()
+	}
+	return out
+}
+
 func squareSystem(lo, hi float64) *System {
 	s := NewSystem(2)
-	s.AddBounds(0, lo, hi)
-	s.AddBounds(1, lo, hi)
+	addBounds(s, 0, lo, hi)
+	addBounds(s, 1, lo, hi)
 	return s
 }
 
@@ -58,14 +76,6 @@ func TestAddLEOutOfRangePanics(t *testing.T) {
 	s.AddLE(map[int]float64{5: 1}, 0)
 }
 
-func TestNames(t *testing.T) {
-	s := NewSystem(2)
-	s.Names[0] = "x11l"
-	if s.Name(0) != "x11l" || s.Name(1) != "x1" {
-		t.Error("names wrong")
-	}
-}
-
 func TestChebyshevSquare(t *testing.T) {
 	s := squareSystem(0, 10)
 	c, r, err := s.Chebyshev()
@@ -83,8 +93,8 @@ func TestChebyshevSquare(t *testing.T) {
 func TestChebyshevNegativeRegion(t *testing.T) {
 	// Square entirely in negative coordinates: [-10,-2] x [-8,-4].
 	s := NewSystem(2)
-	s.AddBounds(0, -10, -2)
-	s.AddBounds(1, -8, -4)
+	addBounds(s, 0, -10, -2)
+	addBounds(s, 1, -8, -4)
 	c, r, err := s.Chebyshev()
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +147,7 @@ func TestSamplerUniformOnSquare(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 2000
-	samples := sampler.Sample(n, 200)
+	samples := sample(sampler, n, 200)
 	if len(samples) != n {
 		t.Fatalf("got %d samples", len(samples))
 	}
@@ -188,7 +198,7 @@ func TestSamplerSimplexRegion(t *testing.T) {
 	}
 	const n = 3000
 	var mx, my float64
-	for _, x := range sampler.Sample(n, 300) {
+	for _, x := range sample(sampler, n, 300) {
 		mx += x[0]
 		my += x[1]
 	}
@@ -204,14 +214,14 @@ func TestSamplerHighDim(t *testing.T) {
 	const dim = 18
 	s := NewSystem(dim)
 	for i := 0; i < dim; i++ {
-		s.AddBounds(i, 0, 1)
+		addBounds(s, i, 0, 1)
 	}
 	rng := rand.New(rand.NewSource(7))
 	sampler, err := NewSampler(s, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range sampler.Sample(50, 500) {
+	for _, x := range sample(sampler, 50, 500) {
 		if !s.Feasible(x, 1e-9) {
 			t.Fatal("infeasible high-dim sample")
 		}

@@ -190,7 +190,7 @@ func TestTextOnCanvas(t *testing.T) {
 	ink := c.Ink()
 	for y := 0; y < ink.H; y++ {
 		for x := 0; x < ink.W; x++ {
-			if ink.At(x, y) && !(geom.Pt{X: x, Y: y}).In(box) {
+			if ink.At(x, y) && !box.Contains(geom.Rect{X0: x, Y0: y, X1: x, Y1: y}) {
 				t.Errorf("ink outside text box at (%d,%d)", x, y)
 			}
 		}

@@ -1,6 +1,7 @@
 package sed
 
 import (
+	"context"
 	"testing"
 
 	"tdmagic/internal/geom"
@@ -110,7 +111,7 @@ func TestCleanupErasesLongSolidVLine(t *testing.T) {
 	c.Line(geom.Pt{X: 20, Y: 200}, geom.Pt{X: 180, Y: 200}, 3)  // plateau
 	c.Line(geom.Pt{X: 160, Y: 100}, geom.Pt{X: 160, Y: 160}, 3) // step edge (short)
 	bw := c.Ink()
-	lines := lad.DetectBinary(bw, lad.DefaultConfig())
+	lines, _ := lad.DetectBinaryCtx(context.Background(), bw, lad.DefaultConfig())
 	work := cleanup(bw, lines, DefaultConfig())
 	if work.At(100, 50) || work.At(100, 350) {
 		t.Error("isolated stretches of the solid vline survived cleanup")

@@ -51,7 +51,7 @@ func TestTrainWorkerCountInvariant(t *testing.T) {
 	tc.Epochs = 4
 	train := func(workers int) *Model {
 		tc.Workers = workers
-		m, err := Train(rand.New(rand.NewSource(5)), samples, nil, cfg, tc)
+		m, err := Train(rand.New(rand.NewSource(5)), samples, binarize(samples), cfg, tc)
 		if err != nil {
 			t.Fatal(err)
 		}

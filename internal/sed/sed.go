@@ -34,6 +34,10 @@ import (
 // background is the classifier label for non-edge candidates.
 const background = int(spo.NumEdgeTypes)
 
+// NumClasses is the classifier's output width: the edge types and
+// background.
+const NumClasses = background + 1
+
 // Config controls proposal generation and detection.
 type Config struct {
 	// MinPlateauRun is the horizontal run length treated as plateau /
@@ -487,18 +491,13 @@ func DefaultTrainConfig() TrainConfig {
 	return TrainConfig{Hidden: 48, Epochs: 30, BatchSize: 64, LR: 3e-3}
 }
 
-// exampleSet extracts the training examples of one labelled picture:
-// binarise, detect lines, propose candidates, featurise. This per-sample
-// stage is independent across samples and runs on the worker pool. A
-// pre-binarised image may be supplied to avoid repeating the Otsu pass
-// (core.Train shares one binarisation between SED and OCR); bw == nil
-// computes it here.
+// exampleSet extracts the training examples of one labelled picture from
+// its binarised image bw: detect lines, propose candidates, featurise.
+// This per-sample stage is independent across samples and runs on the
+// worker pool.
 func exampleSet(s *dataset.Sample, bw *imgproc.Binary, cfg Config) []nn.Sample {
 	var out []nn.Sample
-	if bw == nil {
-		bw = imgproc.Threshold(s.Image, imgproc.OtsuThreshold(s.Image))
-	}
-	lines := lad.DetectBinary(bw, lad.DefaultConfig())
+	lines, _ := lad.DetectBinaryCtx(context.Background(), bw, lad.DefaultConfig()) // no error: the context never ends
 	props := Propose(bw, lines, cfg)
 	for _, p := range props {
 		label := background
@@ -526,20 +525,14 @@ func exampleSet(s *dataset.Sample, bw *imgproc.Binary, cfg Config) []nn.Sample {
 // matched proposals and from the ground-truth boxes themselves; unmatched
 // proposals become background examples.
 //
-// The binarise→LAD→propose→featurise stage runs per sample on tc.Workers
-// goroutines; examples are collected in input order, so the resulting model
-// does not depend on the worker count.
-//
-// bws optionally carries the samples' pre-binarised images (parallel to
-// samples); nil binarises internally.
+// bws carries the samples' binarised images (parallel to samples; core.Train
+// shares one binarisation between SED and OCR). The LAD→propose→featurise
+// stage runs per sample on tc.Workers goroutines; examples are collected in
+// input order, so the resulting model does not depend on the worker count.
 func Train(rng *rand.Rand, samples []*dataset.Sample, bws []*imgproc.Binary, cfg Config, tc TrainConfig) (*Model, error) {
 	perSample := make([][]nn.Sample, len(samples))
 	parallel.For(tc.Workers, len(samples), func(i int) {
-		var bw *imgproc.Binary
-		if bws != nil {
-			bw = bws[i]
-		}
-		perSample[i] = exampleSet(samples[i], bw, cfg)
+		perSample[i] = exampleSet(samples[i], bws[i], cfg)
 	})
 	total := 0
 	for _, ex := range perSample {
@@ -552,7 +545,7 @@ func Train(rng *rand.Rand, samples []*dataset.Sample, bws []*imgproc.Binary, cfg
 	if len(train) == 0 {
 		return nil, fmt.Errorf("sed: no training examples from %d samples", len(samples))
 	}
-	net := nn.NewNet(rng, FeatureSize, tc.Hidden, background+1)
+	net := nn.NewNet(rng, FeatureSize, tc.Hidden, NumClasses)
 	if _, err := net.Train(rng, train, nn.TrainConfig{
 		Epochs: tc.Epochs, BatchSize: tc.BatchSize, LR: tc.LR, Workers: tc.Workers,
 	}); err != nil {
@@ -561,15 +554,9 @@ func Train(rng *rand.Rand, samples []*dataset.Sample, bws []*imgproc.Binary, cfg
 	return &Model{Net: net, Cfg: cfg}, nil
 }
 
-// Detect runs the full detector on a picture: propose, classify, filter.
-// The classify loop reuses pooled feature and activation buffers, so it
-// performs no transient allocation per candidate.
-func (m *Model) Detect(img *imgproc.Gray, lines *lad.Result) []Detection {
-	dets, _ := m.DetectCtx(context.Background(), img, lines)
-	return dets
-}
-
-// DetectCtx is Detect with cooperative cancellation: the context is
+// DetectCtx runs the full detector on a picture: propose, classify,
+// filter. The classify loop reuses pooled feature and activation buffers,
+// so it performs no transient allocation per candidate. The context is
 // checked before proposal generation and along the classify loop, so a
 // pathological picture cannot run past its deadline by more than one
 // proposal pass (itself bounded by Config.MaxProposals).

@@ -1,6 +1,7 @@
 package sed
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -12,6 +13,15 @@ import (
 	"tdmagic/internal/spo"
 	"tdmagic/internal/tdgen"
 )
+
+// binarize binarises each sample at Otsu's threshold, as core.Train does.
+func binarize(samples []*dataset.Sample) []*imgproc.Binary {
+	bws := make([]*imgproc.Binary, len(samples))
+	for i, s := range samples {
+		bws[i] = imgproc.Threshold(s.Image, imgproc.OtsuThreshold(s.Image))
+	}
+	return bws
+}
 
 // genSamples produces n deterministic synthetic samples.
 func genSamples(t *testing.T, mode tdgen.Mode, seed int64, n int) []*dataset.Sample {
@@ -28,8 +38,8 @@ func TestProposeCoversGroundTruth(t *testing.T) {
 	samples := genSamples(t, tdgen.G1, 31, 8)
 	totalGT, covered := 0, 0
 	for _, s := range samples {
-		bw := imgproc.Threshold(s.Image, imgproc.OtsuThreshold(s.Image))
-		lines := lad.DetectBinary(bw, lad.DefaultConfig())
+		bw, _ := lad.Binarize(s.Image, lad.DefaultConfig())
+		lines, _ := lad.DetectBinaryCtx(context.Background(), bw, lad.DefaultConfig())
 		props := Propose(bw, lines, DefaultConfig())
 		for _, gt := range s.Edges {
 			totalGT++
@@ -98,15 +108,21 @@ func TestTrainAndDetectSynthetic(t *testing.T) {
 	valSet := genSamples(t, tdgen.G1, 200, 8)
 	rng := rand.New(rand.NewSource(1))
 	tc := DefaultTrainConfig()
-	model, err := Train(rng, trainSet, nil, DefaultConfig(), tc)
+	model, err := Train(rng, trainSet, binarize(trainSet), DefaultConfig(), tc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	var dets []detect.Detection
 	var gts []detect.GroundTruth
 	for i, s := range valSet {
-		lines := lad.Detect(s.Image, lad.DefaultConfig())
-		for _, d := range model.Detect(s.Image, lines) {
+		bw, _ := lad.Binarize(s.Image, lad.DefaultConfig())
+		lines, _ := lad.DetectBinaryCtx(ctx, bw, lad.DefaultConfig())
+		found, err := model.DetectCtx(ctx, s.Image, lines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range found {
 			dets = append(dets, detect.Detection{Box: d.Box, Class: int(d.Type), Score: d.Score, Image: i})
 		}
 		for _, g := range s.Edges {

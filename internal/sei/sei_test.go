@@ -1,6 +1,7 @@
 package sei
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -13,12 +14,23 @@ import (
 	"tdmagic/internal/tdgen"
 )
 
+// detectLines runs LAD on img binarised as the pipeline binarises it.
+func detectLines(t *testing.T, img *imgproc.Gray) *lad.Result {
+	t.Helper()
+	bw, _ := lad.Binarize(img, lad.DefaultConfig())
+	lines, err := lad.DetectBinaryCtx(context.Background(), bw, lad.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lines
+}
+
 // oracleInput builds an SEI input from ground truth: true edge boxes, LAD
 // contours from the rendered image, and true texts. This isolates SEI's
 // semantic logic from detector noise.
 func oracleInput(t *testing.T, s *dataset.Sample) Input {
 	t.Helper()
-	lines := lad.Detect(s.Image, lad.DefaultConfig())
+	lines := detectLines(t, s.Image)
 	var edges []sed.Detection
 	for _, e := range s.Edges {
 		edges = append(edges, sed.Detection{Box: e.Box, Type: e.Type, Score: 1})
@@ -166,7 +178,7 @@ func TestInterpretTextRoles(t *testing.T) {
 
 func TestInterpretEmptyInput(t *testing.T) {
 	img := imgproc.NewGray(200, 200)
-	lines := lad.Detect(img, lad.DefaultConfig())
+	lines := detectLines(t, img)
 	out, err := Interpret(Input{Width: 200, Height: 200, Lines: lines}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

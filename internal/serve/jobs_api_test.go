@@ -470,14 +470,14 @@ func TestRetryAfterAdaptive(t *testing.T) {
 		t.Errorf("idle queue: Retry-After = %s, want 1", got)
 	}
 	// Six waiters across two workers: ceil(7/2) = 4 turns x 500ms = 2s.
-	s.queued.Set(6)
+	s.queued.Add(6)
 	if got := s.retryAfterSeconds(); got != "2" {
 		t.Errorf("deep queue: Retry-After = %s, want 2", got)
 	}
 	// A pathological queue stays clamped at the deadline.
-	s.queued.Set(1000)
+	s.queued.Add(1000 - 6)
 	if got := s.retryAfterSeconds(); got != "10" {
 		t.Errorf("clamp: Retry-After = %s, want 10", got)
 	}
-	s.queued.Set(0)
+	s.queued.Add(-1000)
 }

@@ -399,7 +399,7 @@ func TestQueueOverflow429(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Store: st})
 	inLRU, inStore := pngBytes(t, val[3]), pngBytes(t, val[4])
 	readBody(t, postPNG(t, ts.URL, inLRU))
-	r := batch.Process(context.Background(), pipe, batch.Item{Name: "s", Image: val[4].Image},
+	r := batch.Process(context.Background(), pipe, batch.Item{Name: "s", Load: func() (*imgproc.Gray, error) { return val[4].Image, nil }},
 		batch.Options{Store: st, Config: pipe.ConfigHash()})
 	if r.Err != nil || !r.Stored {
 		t.Fatalf("seed the store: err=%v stored=%v", r.Err, r.Stored)

@@ -51,24 +51,6 @@ func (t EdgeType) String() string {
 	}
 }
 
-// Short returns the paper's Sec. VI abbreviation (rS, fS, rR, fR, dbl).
-func (t EdgeType) Short() string {
-	switch t {
-	case RiseStep:
-		return "rS"
-	case FallStep:
-		return "fS"
-	case RiseRamp:
-		return "rR"
-	case FallRamp:
-		return "fR"
-	case Double:
-		return "dbl"
-	default:
-		return "?"
-	}
-}
-
 // ParseEdgeType converts a long or short edge-type name back to the enum.
 func ParseEdgeType(s string) (EdgeType, error) {
 	switch s {
@@ -352,23 +334,6 @@ func (p *SPO) DOT(name string) string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// Clone returns a deep copy of p, provenance included.
-func (p *SPO) Clone() *SPO {
-	q := &SPO{
-		Nodes:       append([]Node(nil), p.Nodes...),
-		Constraints: append([]Constraint(nil), p.Constraints...),
-		NodeProv:    append([]NodeProv(nil), p.NodeProv...),
-	}
-	if p.ConstraintProv != nil {
-		q.ConstraintProv = make([]ConstraintProv, len(p.ConstraintProv))
-		for i, cp := range p.ConstraintProv {
-			cp.HLines = append([]int(nil), cp.HLines...)
-			q.ConstraintProv[i] = cp
-		}
-	}
-	return q
 }
 
 // normalizedConstraints returns the constraint set sorted for comparison.

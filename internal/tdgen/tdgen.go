@@ -24,6 +24,7 @@ package tdgen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"tdmagic/internal/dataset"
@@ -482,7 +483,7 @@ func (g *gen) intraRows(x []float64, v layoutVars, n int) []float64 {
 		}
 		ok := true
 		for _, u := range append(used, rows...) {
-			if absF(c-u) < 0.22 {
+			if math.Abs(c-u) < 0.22 {
 				ok = false
 				break
 			}
@@ -495,13 +496,6 @@ func (g *gen) intraRows(x []float64, v layoutVars, n int) []float64 {
 		rows = append(rows, 0.95)
 	}
 	return rows
-}
-
-func absF(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // annotFrac sizes the annotation band for the number of arrow rows.
@@ -545,7 +539,7 @@ func (g *gen) buildSignal(name string, kind diagram.SignalKind, riseFirst bool, 
 	}
 	if kind == diagram.DoubleRamp {
 		// Bus signals keep common rails; use the first box's levels.
-		lo, hi := minF(ys[0], ys[1]), maxF(ys[0], ys[1])
+		lo, hi := min(ys[0], ys[1]), max(ys[0], ys[1])
 		if hi-lo < 0.2 {
 			lo, hi = 0.15, 0.85
 		}
@@ -567,20 +561,6 @@ func (g *gen) buildSignal(name string, kind diagram.SignalKind, riseFirst bool, 
 		}
 	}
 	return s
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // markEvents sets HasEvent on every edge referenced by an arrow.
