@@ -206,7 +206,7 @@ func TestNoDeadDeclarations(t *testing.T) {
 			if c := cands[info.Uses[id]]; c != nil {
 				c.own = append(c.own, [2]token.Pos{m.Pos(), m.End()})
 			}
-			if obj := info.Defs[m.Name].(*types.Func); m.Name.Name != "_" {
+			if obj, ok := info.Defs[m.Name].(*types.Func); ok && m.Name.Name != "_" {
 				name := id.Name + "." + m.Name.Name
 				if star != "" {
 					name = "(*" + id.Name + ")." + m.Name.Name

@@ -100,7 +100,7 @@ func TestDetectRegionsOnGenerated(t *testing.T) {
 	}
 	total, found := 0, 0
 	for _, s := range samples {
-		bw, _ := lad.Binarize(s.Image, lad.DefaultConfig())
+		bw := imgproc.Threshold(s.Image, imgproc.OtsuThreshold(s.Image))
 		lines, _ := lad.DetectBinaryCtx(context.Background(), bw, lad.DefaultConfig())
 		regions := DetectRegions(bw, lines, DefaultDetectConfig())
 		for _, gt := range s.Texts {
@@ -133,7 +133,7 @@ func TestReadAllEndToEnd(t *testing.T) {
 	m.Train(train, binarize(train))
 	total, correct := 0, 0
 	for _, s := range val {
-		bw, _ := lad.Binarize(s.Image, lad.DefaultConfig())
+		bw := imgproc.Threshold(s.Image, imgproc.OtsuThreshold(s.Image))
 		lines, _ := lad.DetectBinaryCtx(context.Background(), bw, lad.DefaultConfig())
 		results, err := m.ReadAllCtx(context.Background(), bw, lines, DefaultDetectConfig())
 		if err != nil {

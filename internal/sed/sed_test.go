@@ -38,7 +38,7 @@ func TestProposeCoversGroundTruth(t *testing.T) {
 	samples := genSamples(t, tdgen.G1, 31, 8)
 	totalGT, covered := 0, 0
 	for _, s := range samples {
-		bw, _ := lad.Binarize(s.Image, lad.DefaultConfig())
+		bw := imgproc.Threshold(s.Image, imgproc.OtsuThreshold(s.Image))
 		lines, _ := lad.DetectBinaryCtx(context.Background(), bw, lad.DefaultConfig())
 		props := Propose(bw, lines, DefaultConfig())
 		for _, gt := range s.Edges {
