@@ -50,7 +50,7 @@ var deadCodeAllowed = map[string]string{
 	"tdmagic/internal/obs.(*Export).Span":                  "tests look up an exported span by name with it",
 	"tdmagic/internal/metrics.(*Histogram).Observe":        "tests fill a histogram without exemplars with it",
 	"tdmagic/internal/metrics.(*Histogram).BucketExemplar": "tests read a bucket's exemplar with it",
-	"tdmagic/internal/serve.(*Server).Handler":             "tests mount the server on httptest with it; tdserve serves through Serve",
+	"tdmagic/internal/serve.(*Server).Handler":             "tests mount the server on httptest with it; tdserve listens through Start",
 	"tdmagic/internal/serve.(*Server).Registry":            "tests scrape the server's metrics registry with it",
 	"tdmagic/internal/polytope.(*System).Feasible":         "tests check that sampled points satisfy the system with it",
 	"tdmagic/internal/polytope.(*System).Violations":       "Feasible's per-constraint form, which tests list a point's broken constraints with",
