@@ -160,7 +160,8 @@ func parsePercent(s string) (float64, bool) {
 // specification, with each constrained delay set to the midpoint of its
 // bounds (or Min when unbounded). It is useful for testing monitors and as
 // a template-waveform generator. rampFrac is the fraction of the unit step
-// spent ramping (0 = ideal steps).
+// spent ramping (0 = ideal steps). The trace's signals are in name order,
+// so one specification always gives the same trace.
 func SynthesizeTrace(spec *Spec, rampFrac float64) (*trace.Trace, error) {
 	p := spec.SPO
 	if err := p.Validate(); err != nil {
@@ -235,7 +236,13 @@ func SynthesizeTrace(spec *Spec, rampFrac float64) (*trace.Trace, error) {
 	if ramp < 0 {
 		ramp = 0
 	}
-	for name, evs := range bySignal {
+	names := make([]string, 0, len(bySignal))
+	for name := range bySignal {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		evs := bySignal[name]
 		sort.Slice(evs, func(i, j int) bool { return evs[i].t < evs[j].t })
 		// Each signal's events must cover its edges consecutively so the
 		// trace edge index matches the specification's EdgeIndex.

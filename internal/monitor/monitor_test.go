@@ -226,6 +226,31 @@ func TestSynthesizeRejectsSparseEdgeIndices(t *testing.T) {
 	}
 }
 
+// TestSynthesizeSignalOrder synthesizes one three-signal specification
+// many times: the signals must come out in one order, their names',
+// every time, for `tdmagic -synth-vcd` to write the same bytes.
+func TestSynthesizeSignalOrder(t *testing.T) {
+	p := &spo.SPO{}
+	clk := p.AddNode(spo.Node{Signal: "CLK", EdgeIndex: 1, Type: spo.RiseStep})
+	data := p.AddNode(spo.Node{Signal: "DATA", EdgeIndex: 1, Type: spo.FallRamp, Threshold: "10%"})
+	out := p.AddNode(spo.Node{Signal: "OUT", EdgeIndex: 1, Type: spo.RiseRamp, Threshold: "90%"})
+	_ = p.AddConstraint(clk, data, "t_{su}")
+	_ = p.AddConstraint(data, out, "t_{PLH}")
+	for i := 0; i < 50; i++ {
+		tr, err := SynthesizeTrace(&Spec{SPO: p}, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, sig := range tr.Signals {
+			names = append(names, sig.Name)
+		}
+		if got := strings.Join(names, " "); got != "CLK DATA OUT" {
+			t.Fatalf("synthesis %d: signals %s, want CLK DATA OUT", i+1, got)
+		}
+	}
+}
+
 func TestViolationString(t *testing.T) {
 	v := Violation{Constraint: spo.Constraint{Src: 0, Dst: 1, Delay: "t_{s}"}, Reason: "boom"}
 	s := v.String()

@@ -10,15 +10,14 @@ import (
 // variables. Variables are unrestricted in sign; bounds are expressed as
 // ordinary constraints.
 type System struct {
-	Dim   int
-	Names []string // optional variable names for diagnostics
-	A     [][]float64
-	B     []float64
+	Dim int
+	A   [][]float64
+	B   []float64
 }
 
 // NewSystem returns an empty constraint system over dim variables.
 func NewSystem(dim int) *System {
-	return &System{Dim: dim, Names: make([]string, dim)}
+	return &System{Dim: dim}
 }
 
 // AddLE adds the constraint coef·x <= b. coef maps variable index to

@@ -59,12 +59,12 @@ func TestDecoderLineCap(t *testing.T) {
 	for _, n := range []int{maxLine - 1, maxLine, maxLine + 100} {
 		for _, end := range []string{"\n", ""} {
 			doc := "$comment " + strings.Repeat("x", n-len("$comment ")) + end + "$enddefinitions $end\n"
-			want, wantErr := decodeVia(doc, wholeReads, true)
+			want, wantErr := decodeVia(doc, wholeReads, true, 0)
 			if n >= maxLine && wantErr != "bufio.Scanner: token too long" {
 				t.Fatalf("%d-byte line: oracle error %q, want the scanner's token too long", n, wantErr)
 			}
 			for _, m := range readModes {
-				checkDecode(t, doc, m.name, m.wrap, want, wantErr)
+				checkDecode(t, doc, m.name, m.wrap, 0, want, wantErr)
 			}
 		}
 	}
@@ -83,7 +83,7 @@ func TestDecoderPassesReadErrors(t *testing.T) {
 			t.Fatalf("cut at %d: error %v, want the read error as it came", k, err)
 		}
 		whole := sampleVCD[:strings.LastIndexByte(sampleVCD[:k], '\n')+1]
-		want, wantErr := decodeVia(whole, wholeReads, true)
+		want, wantErr := decodeVia(whole, wholeReads, true, 0)
 		if wantErr != "" || !slices.Equal(rec.events, want) {
 			t.Fatalf("cut at %d: %d events, oracle %d over the complete lines (error %q)", k, len(rec.events), len(want), wantErr)
 		}
@@ -91,8 +91,9 @@ func TestDecoderPassesReadErrors(t *testing.T) {
 }
 
 // TestDecodeAllocsFlat pins the byte decoder's allocations to its set-up
-// and the declarations: tdbench-shaped dumps of about 0.5 MB and 2 MB
-// decode into a no-op sink with the same number of allocations.
+// and the declarations: tdbench-shaped dumps asked for at 0.5 MiB and
+// 2 MiB (1,093,747 and 4,440,274 bytes; the size is a floor) decode into
+// a no-op sink with the same number of allocations.
 func TestDecodeAllocsFlat(t *testing.T) {
 	tr := goldenTrace(t)
 	var allocs []float64
@@ -110,9 +111,10 @@ func TestDecodeAllocsFlat(t *testing.T) {
 	t.Logf("allocations per decode: %v for 0.5 MB and 2 MB dumps", allocs)
 }
 
-// BenchmarkDecodeTdbenchShape decodes a 1 MiB dump shaped like the
-// benchmark's verify_stream traffic into a no-op sink; MB/s is the
-// decoder's throughput.
+// BenchmarkDecodeTdbenchShape decodes a dump shaped like the benchmark's
+// verify_stream traffic into a no-op sink; MB/s is the decoder's
+// throughput. tdbenchShaped takes the 1 MiB asked for as a floor: the
+// dump is 2,209,279 bytes.
 func BenchmarkDecodeTdbenchShape(b *testing.B) {
 	doc := tdbenchShaped(b, goldenTrace(b), rand.New(rand.NewSource(1)), 1<<20)
 	b.SetBytes(int64(len(doc)))

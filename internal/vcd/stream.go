@@ -26,9 +26,10 @@ type Sink interface {
 // Decoder incrementally parses a VCD document, emitting each decoded
 // sample to a Sink as it is read instead of materializing a trace. It
 // retains O(declared signals) state, so arbitrarily large dumps stream in
-// constant memory per signal. It decodes on bytes: a line is a slice of
-// the read buffer and its fields are slices of the line, so a value
-// change allocates nothing.
+// constant memory per signal. It decodes on bytes: most value changes
+// are read straight from the read buffer (inPlace), any other line is a
+// slice of it and its fields are slices of the line, so a value change
+// allocates nothing.
 type Decoder struct {
 	sink Sink
 	cr   *countReader
@@ -37,8 +38,9 @@ type Decoder struct {
 	long   []byte   // a line longer than br's buffer, gathered
 	fields [][]byte // the current line's fields
 
-	ids   map[string]int // var id code -> index into holds
-	holds []holdState    // one per distinct sink handle
+	ids     map[string]int // var id code -> index into holds
+	byteIDs [128]int       // one-byte var id -> index into holds + 1; 0 undeclared
+	holds   []holdState    // one per distinct sink handle
 }
 
 // holdState tracks the last sample emitted to one sink handle, for digital
@@ -95,6 +97,12 @@ func (d *Decoder) Run() error {
 	slot := map[int]int{} // sink handle -> index into d.holds
 
 	for lineNo := 1; ; lineNo++ {
+		if !inDefs {
+			var err error
+			if now, lineNo, err = d.inPlace(now, scale, lineNo); err != nil {
+				return err
+			}
+		}
 		line, err := d.line()
 		if err == io.EOF {
 			return nil
@@ -153,7 +161,11 @@ func (d *Decoder) Run() error {
 				slot[h] = i
 				d.holds = append(d.holds, holdState{h: h})
 			}
-			d.ids[string(fields[3])] = i
+			id := fields[3]
+			d.ids[string(id)] = i
+			if len(id) == 1 && id[0] < utf8.RuneSelf {
+				d.byteIDs[id[0]] = i + 1
+			}
 		case string(f0) == "$enddefinitions":
 			inDefs = false
 		case f0[0] == '$':
@@ -177,6 +189,96 @@ func (d *Decoder) Run() error {
 			}
 		}
 	}
+}
+
+// inPlace decodes straight from br's buffer the complete lines it holds,
+// numbered from lineNo, while each is a timestamp ("#" and 1 to 15 ASCII
+// digits), a scalar change ("1!") or a real change ("r0.5 !") that
+// decodes cleanly: a newline right after the last field, one space inside
+// a real change, every other byte in 0x21-0x7e, a declared id, a finite
+// real and a time no earlier than now. It stops at the first line that is
+// not, or is not wholly buffered, and leaves it for the line path, which
+// words every parse error; it never reads. It returns the time and the
+// number of the first line it left.
+func (d *Decoder) inPlace(now, scale float64, lineNo int) (float64, int, error) {
+	buf, _ := d.br.Peek(d.br.Buffered())
+	p := 0
+	var err error
+lines:
+	for ; p < len(buf); lineNo++ {
+		b := buf[p:]
+		var n int // the line's length, its newline included
+		switch c := b[0]; c {
+		case '#':
+			t, k := leadingInt(b[1:])
+			nt := float64(t) * scale
+			if k == 0 || k+1 >= len(b) || b[k+1] != '\n' || nt < now {
+				break lines
+			}
+			now, n = nt, k+2
+		case '0', '1', 'x', 'X', 'z', 'Z':
+			i, k := d.lookupID(b[1:])
+			if i < 0 {
+				break lines
+			}
+			if err = d.emitStep(&d.holds[i], now, scalarValue(c)); err != nil {
+				break lines
+			}
+			n = k + 2
+		case 'r', 'R':
+			k := tokenLen(b[1:])
+			if k == 0 || k+1 >= len(b) || b[k+1] != ' ' {
+				break lines
+			}
+			i, m := d.lookupID(b[k+2:])
+			if i < 0 {
+				break lines
+			}
+			v, perr := strconv.ParseFloat(string(b[1:k+1]), 64)
+			if perr != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+				break lines
+			}
+			if err = d.emit(&d.holds[i], now, v); err != nil {
+				break lines
+			}
+			n = k + m + 3
+		default:
+			break lines
+		}
+		p += n
+	}
+	d.br.Discard(p)
+	if err != nil {
+		err = fmt.Errorf("vcd: line %d: %w", lineNo, err)
+	}
+	return now, lineNo, err
+}
+
+// lookupID resolves the var id that b starts with, bytes 0x21-0x7e up to
+// a newline, to its index into d.holds, and returns the id's length. The
+// index is -1 when b holds no such id or the id is undeclared.
+func (d *Decoder) lookupID(b []byte) (int, int) {
+	k := tokenLen(b)
+	if k == 0 || k == len(b) || b[k] != '\n' {
+		return -1, 0
+	}
+	if k == 1 {
+		return d.byteIDs[b[0]] - 1, 1
+	}
+	if i, ok := d.ids[string(b[:k])]; ok {
+		return i, k
+	}
+	return -1, 0
+}
+
+// tokenLen returns how many bytes b starts with in 0x21-0x7e: printable
+// ASCII, no space.
+func tokenLen(b []byte) int {
+	k := 0
+	for k < len(b) && '!' <= b[k] && b[k] <= '~' {
+		k++
+	}
+	return k
 }
 
 // line returns the next line, newline included, valid until the next
@@ -236,14 +338,21 @@ func (d *Decoder) split(line []byte) [][]byte {
 // unsigned integers IEEE 1364 writes as timestamps: up to 15 digits, which
 // a float64 holds exactly.
 func parseTime(b []byte) (float64, error) {
-	n, i := uint64(0), 0
-	for ; i < len(b) && i < 15 && '0' <= b[i] && b[i] <= '9'; i++ {
-		n = n*10 + uint64(b[i]-'0')
-	}
+	n, i := leadingInt(b)
 	if i == 0 || i < len(b) {
 		return strconv.ParseFloat(string(b), 64)
 	}
 	return float64(n), nil
+}
+
+// leadingInt reads the ASCII digits b starts with, at most 15 of them,
+// as an unsigned integer, and returns it and how many digits it read.
+func leadingInt(b []byte) (uint64, int) {
+	n, i := uint64(0), 0
+	for ; i < len(b) && i < 15 && '0' <= b[i] && b[i] <= '9'; i++ {
+		n = n*10 + uint64(b[i]-'0')
+	}
+	return n, i
 }
 
 // valueChange applies one value-change line. Digital changes (scalar and
